@@ -4,7 +4,8 @@ Every subcommand prints one JSON payload to stdout (or JSON lines for
 streaming commands), switchable to aligned text with --human. Exit codes:
 0 for success or a positive verdict, 1 for a negative verdict, 2 for input
 errors, including non-cograph inputs where a cotree is required (the
-payload then carries a path witness on four vertices).
+payload then carries a path witness on four vertices) and inputs too large
+to process.
 """
 from __future__ import annotations
 
@@ -410,6 +411,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}))
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # exit 1 means a negative verdict, so a crash must not end with it
+        print(json.dumps({"error": f"input too large to process ({type(exc).__name__})"}))
         return 2
 
 

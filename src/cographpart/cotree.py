@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import count
 
 from .graph import Graph, iter_bits
 
@@ -86,65 +87,104 @@ def join_of(children: Sequence[CotreeNode]) -> CotreeNode:
     return Join(tuple(flat))
 
 
+def _fold(tree: CotreeNode, leaf, node):
+    """Post-order fold over a cotree without recursion, so any depth works.
+
+    leaf(l) gives the value of a Leaf and is called on the leaves left to
+    right; node(n, values) gives the value of an internal node from the list
+    of its children's values, in child order.
+    """
+    # the node being folded, the iterator over its children and their values
+    # so far; its ancestors wait on the stack in the same form. The walk starts
+    # at a parent of the root (None) whose one child value is the result.
+    n, it, acc = None, iter((tree,)), []
+    stack: list = []
+    while True:
+        for c in it:
+            if isinstance(c, Leaf):
+                acc.append(leaf(c))
+            else:
+                stack.append((n, it, acc))
+                n, it, acc = c, iter(c.children), []
+                break
+        else:
+            if not stack:
+                return acc[0]
+            value = node(n, acc)
+            n, it, acc = stack.pop()
+            acc.append(value)
+
+
+def _unfold(seed, expand):
+    """Build a tree from the root down without recursion, so any depth works.
+
+    expand(seed) returns (make, child_seeds). With no child seeds, make is
+    the finished leaf; otherwise the node is make(tuple of built children).
+    Seeds are expanded in pre-order, children left to right, so expand may
+    draw from a shared random stream exactly as a recursive builder would.
+    """
+    # the node being built, the iterator over its child seeds and its
+    # children built so far; its ancestors wait on the stack in the same form.
+    # The walk starts at a parent of the root (None) whose one child is the result.
+    make, it, acc = None, iter((seed,)), []
+    stack: list = []
+    while True:
+        for s in it:
+            child_make, child_seeds = expand(s)
+            if child_seeds:
+                stack.append((make, it, acc))
+                make, it, acc = child_make, iter(child_seeds), []
+                break
+            acc.append(child_make)
+        else:
+            if not stack:
+                return acc[0]
+            value = make(tuple(acc))
+            make, it, acc = stack.pop()
+            acc.append(value)
+
+
 def complement_tree(tree: CotreeNode) -> CotreeNode:
     """Complement a cotree by swapping Union and Join nodes; leaves keep ids."""
-    if isinstance(tree, Leaf):
-        return tree
-    children = tuple(complement_tree(c) for c in tree.children)
-    return Union(children) if isinstance(tree, Join) else Join(children)
+    return _fold(tree, lambda leaf: leaf,
+                 lambda n, kids: (Union if isinstance(n, Join) else Join)(tuple(kids)))
 
 
 def relabel(tree: CotreeNode) -> CotreeNode:
     """Copy of tree with leaf ids reassigned 0..n-1 in left-to-right order."""
-    counter = [0]
-
-    def walk(node: CotreeNode) -> CotreeNode:
-        if isinstance(node, Leaf):
-            v = counter[0]
-            counter[0] += 1
-            return Leaf(v)
-        kids = tuple(walk(c) for c in node.children)
-        return type(node)(kids)
-
-    return walk(tree)
+    ids = count()
+    return _fold(tree, lambda _: Leaf(next(ids)), lambda n, kids: type(n)(tuple(kids)))
 
 
 def leaf_count(tree: CotreeNode) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return sum(leaf_count(c) for c in tree.children)
+    return _fold(tree, lambda _: 1, lambda n, counts: sum(counts))
 
 
 def leaves(tree: CotreeNode) -> Iterator[int]:
     """Leaf vertex ids in left-to-right order."""
-    if isinstance(tree, Leaf):
-        yield tree.vertex
-        return
-    for c in tree.children:
-        yield from leaves(c)
+    ids: list[int] = []
+    _fold(tree, lambda leaf: ids.append(leaf.vertex), lambda n, kids: None)
+    yield from ids
 
 
 def height(tree: CotreeNode) -> int:
     """Height in edges: a single Leaf has height 0."""
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + max(height(c) for c in tree.children)
+    return _fold(tree, lambda _: 0, lambda n, heights: 1 + max(heights))
 
 
 def max_join_children(tree: CotreeNode) -> int:
     """Largest arity among Join nodes, 0 when no Join exists."""
-    if isinstance(tree, Leaf):
-        return 0
-    best = len(tree.children) if isinstance(tree, Join) else 0
-    return max(best, max(max_join_children(c) for c in tree.children))
+    return _fold(tree, lambda _: 0, lambda n, best: max(
+        len(n.children) if isinstance(n, Join) else 0, *best))
+
+
+def _code_node(n: CotreeNode, codes: list[bytes]) -> bytes:
+    return (b"U(" if isinstance(n, Union) else b"J(") + b"".join(sorted(codes)) + b")"
 
 
 def canonical_code(tree: CotreeNode) -> bytes:
     """Canonical label-independent code; equal iff realized graphs are isomorphic."""
-    if isinstance(tree, Leaf):
-        return b"L"
-    tag = b"U" if isinstance(tree, Union) else b"J"
-    return tag + b"(" + b"".join(sorted(canonical_code(c) for c in tree.children)) + b")"
+    return _fold(tree, lambda _: b"L", _code_node)
 
 
 # -- expression DSL ----------------------------------------------------
@@ -181,47 +221,51 @@ class _ExprParser:
         return int(self.text[start : self.pos])
 
     def expr(self) -> CotreeNode:
-        ch = self.peek()
-        if ch.isdigit():
-            count = self.integer()
-            self.expect("*")
-            if count < 1:
-                self.fail("repetition count must be at least 1")
-            base = self.expr()
-            return union_of([_clone(base) for _ in range(count)])
-        if ch in "KI":
+        # operators still waiting for a finished operand: ("*", count),
+        # ("C", None), or ("U" / "J", operands so far)
+        pending: list[tuple[str, object]] = []
+        while True:
+            ch = self.peek()
+            if ch.isdigit():
+                count = self.integer()
+                self.expect("*")
+                if count < 1:
+                    self.fail("repetition count must be at least 1")
+                pending.append(("*", count))
+                continue
+            if ch and ch in "UJC":
+                self.pos += 1
+                self.expect("(")
+                pending.append((ch, []))
+                continue
+            if not ch or ch not in "KI":
+                self.fail("expected K, I, U, J, C, or a repetition count")
             self.pos += 1
             self.expect("(")
             size = self.integer()
             self.expect(")")
             if size < 1:
                 self.fail(f"{ch}(k) requires k >= 1")
-            kids = [Leaf(0) for _ in range(size)]
-            if size == 1:
-                return kids[0]
-            return Join(tuple(kids)) if ch == "K" else Union(tuple(kids))
-        if ch in "UJ":
-            self.pos += 1
-            self.expect("(")
-            args = [self.expr()]
-            while self.peek() == ",":
-                self.pos += 1
-                args.append(self.expr())
-            self.expect(")")
-            return union_of(args) if ch == "U" else join_of(args)
-        if ch == "C":
-            self.pos += 1
-            self.expect("(")
-            inner = self.expr()
-            self.expect(")")
-            return complement_tree(inner)
-        self.fail("expected K, I, U, J, C, or a repetition count")
-
-
-def _clone(tree: CotreeNode) -> CotreeNode:
-    if isinstance(tree, Leaf):
-        return Leaf(tree.vertex)
-    return type(tree)(tuple(_clone(c) for c in tree.children))
+            value = (join_of if ch == "K" else union_of)([Leaf(0) for _ in range(size)])
+            # close operators until one needs another operand; repeated
+            # copies share nodes until parse_expr's relabel copies them
+            while pending:
+                op, arg = pending[-1]
+                if op == "*":
+                    value = union_of([value] * arg)
+                elif op == "C":
+                    self.expect(")")
+                    value = complement_tree(value)
+                else:
+                    arg.append(value)
+                    if self.peek() == ",":
+                        self.pos += 1
+                        break
+                    self.expect(")")
+                    value = union_of(arg) if op == "U" else join_of(arg)
+                pending.pop()
+            else:
+                return value
 
 
 def parse_expr(text: str) -> CotreeNode:
@@ -236,24 +280,24 @@ def parse_expr(text: str) -> CotreeNode:
 
 def to_expr(tree: CotreeNode) -> str:
     """Serialize to the expression DSL; parse_expr round-trips the canonical code."""
-    if isinstance(tree, Leaf):
-        return "K(1)"
-    if all(isinstance(c, Leaf) for c in tree.children):
-        letter = "K" if isinstance(tree, Join) else "I"
-        return f"{letter}({len(tree.children)})"
-    if isinstance(tree, Union):
-        groups: list[tuple[bytes, int, CotreeNode]] = []
-        for c in tree.children:
-            code = canonical_code(c)
-            if groups and groups[-1][0] == code:
-                groups[-1] = (code, groups[-1][1] + 1, groups[-1][2])
+    def node(n: CotreeNode, kids: list[tuple[bytes, str]]) -> tuple[bytes, str]:
+        code = _code_node(n, [c for c, _ in kids])
+        if all(isinstance(c, Leaf) for c in n.children):
+            return code, f"{'K' if isinstance(n, Join) else 'I'}({len(kids)})"
+        if isinstance(n, Join):
+            return code, "J(" + ",".join(text for _, text in kids) + ")"
+        groups: list[list] = []     # runs of equal children: [code, count, text]
+        for c, text in kids:
+            if groups and groups[-1][0] == c:
+                groups[-1][1] += 1
             else:
-                groups.append((code, 1, c))
-        parts = [p if k == 1 else f"{k}*{p}" for code, k, c in groups for p in [to_expr(c)]]
+                groups.append([c, 1, text])
+        parts = [text if k == 1 else f"{k}*{text}" for _, k, text in groups]
         if len(groups) == 1 and groups[0][1] > 1:
-            return parts[0]
-        return "U(" + ",".join(parts) + ")"
-    return "J(" + ",".join(to_expr(c) for c in tree.children) + ")"
+            return code, parts[0]
+        return code, "U(" + ",".join(parts) + ")"
+
+    return _fold(tree, lambda _: (b"L", "K(1)"), node)[1]
 
 
 # -- realize / recognize ----------------------------------------------
@@ -267,24 +311,18 @@ def realize(tree: CotreeNode) -> Graph:
         raise ValueError("leaf ids are not a bijection with 0..n-1")
     rows = [0] * n
 
-    def walk(node: CotreeNode) -> int:
-        if isinstance(node, Leaf):
-            return 1 << node.vertex
-        masks = [walk(c) for c in node.children]
-        if isinstance(node, Join):
-            total = 0
-            for m in masks:
-                total |= m
+    def node(n: CotreeNode, masks: list[int]) -> int:
+        total = 0
+        for m in masks:
+            total |= m
+        if isinstance(n, Join):
             for m in masks:
                 other = total & ~m
                 for v in iter_bits(m):
                     rows[v] |= other
-        result = 0
-        for m in masks:
-            result |= m
-        return result
+        return total
 
-    walk(tree)
+    _fold(tree, lambda leaf: 1 << leaf.vertex, node)
     return Graph._unsafe(n, tuple(rows))
 
 
@@ -316,20 +354,20 @@ def recognize(graph: Graph) -> CotreeNode | None:
     if graph.n == 0:
         return None
 
-    def rec(mask: int) -> CotreeNode:
+    def expand(mask: int):
         if mask & (mask - 1) == 0:
-            return Leaf(mask.bit_length() - 1)
+            return Leaf(mask.bit_length() - 1), ()
         comps = graph.component_masks(mask)
         if len(comps) > 1:
-            return Union(tuple(rec(c) for c in comps))
+            return Union, comps
         cocomps = graph.component_masks(mask, complement=True)
         if len(cocomps) > 1:
-            return Join(tuple(rec(c) for c in cocomps))
+            return Join, cocomps
         witness = find_p4(graph, mask)
         assert witness is not None, "connected co-connected graph must contain a P4"
         raise NotACographError(witness)
 
-    return rec((1 << graph.n) - 1)
+    return _unfold((1 << graph.n) - 1, expand)
 
 
 # -- enumeration -------------------------------------------------------
@@ -430,44 +468,45 @@ def count_cographs(n: int) -> int:
 # -- random generation -------------------------------------------------
 
 
+def _random_tree(n: int, rng: random.Random | int, split) -> CotreeNode:
+    """Random normalized cotree on n leaves, labelled 0..n-1; split(k, rng)
+    draws the child sizes of a node with k leaves."""
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    if n < 1:
+        raise ValueError("random cotree needs n >= 1")
+
+    def expand(seed: tuple[int, bool | None]):
+        k, parent_is_union = seed
+        if k == 1:
+            return Leaf(0), ()
+        sizes = split(k, rng)
+        make_union = rng.random() < 0.5 if parent_is_union is None else not parent_is_union
+        return (Union if make_union else Join), [(s, make_union) for s in sizes]
+
+    return relabel(_unfold((n, None), expand))
+
+
+def _random_split(k: int, rng: random.Random) -> list[int]:
+    arity = rng.randint(2, min(k, 5))
+    cuts = sorted(rng.sample(range(1, k), arity - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [k])]
+
+
+def _balanced_split(k: int, rng: random.Random) -> list[int]:
+    arity = 2 if k < 4 else rng.randint(2, 3)
+    base, extra = divmod(k, arity)
+    return [base + (1 if i < extra else 0) for i in range(arity)]
+
+
 def random_cotree(n: int, rng: random.Random | int) -> CotreeNode:
     """Random normalized cotree on n leaves, labelled 0..n-1.
 
     Accepts a seeded random.Random or a bare seed for reproducibility.
     """
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    if n < 1:
-        raise ValueError("random cotree needs n >= 1")
-
-    def build(k: int, parent_is_union: bool | None) -> CotreeNode:
-        if k == 1:
-            return Leaf(0)
-        arity = rng.randint(2, min(k, 5))
-        cuts = sorted(rng.sample(range(1, k), arity - 1))
-        sizes = [b - a for a, b in zip([0] + cuts, cuts + [k])]
-        make_union = rng.random() < 0.5 if parent_is_union is None else not parent_is_union
-        kids = tuple(build(s, make_union) for s in sizes)
-        return Union(kids) if make_union else Join(kids)
-
-    return relabel(build(n, None))
+    return _random_tree(n, rng, _random_split)
 
 
 def random_balanced_cotree(n: int, rng: random.Random | int) -> CotreeNode:
     """Random cotree whose splits are near-even, so depth is O(log n)."""
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    if n < 1:
-        raise ValueError("random cotree needs n >= 1")
-
-    def build(k: int, parent_is_union: bool | None) -> CotreeNode:
-        if k == 1:
-            return Leaf(0)
-        arity = 2 if k < 4 else rng.randint(2, 3)
-        base, extra = divmod(k, arity)
-        sizes = [base + (1 if i < extra else 0) for i in range(arity)]
-        make_union = rng.random() < 0.5 if parent_is_union is None else not parent_is_union
-        kids = tuple(build(s, make_union) for s in sizes)
-        return Union(kids) if make_union else Join(kids)
-
-    return relabel(build(n, None))
+    return _random_tree(n, rng, _balanced_split)

@@ -14,10 +14,12 @@ containment test and a search over all cographs up to a vertex bound.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .cotree import (
@@ -427,8 +429,7 @@ def is_family_free(graph, family) -> bool:
 # -- exhaustive search -------------------------------------------------
 
 
-def _minimal_report(dsl: str, goal_t: tuple[Triple, ...], box: Triple) -> ObstructionReport | None:
-    tree = parse_expr(dsl)
+def _minimal_report(tree: CotreeNode, goal_t: tuple[Triple, ...], box: Triple) -> ObstructionReport | None:
     fs = feasible_set(tree, box)
     if any(fs.contains(t) for t in goal_t):
         return None
@@ -436,52 +437,42 @@ def _minimal_report(dsl: str, goal_t: tuple[Triple, ...], box: Triple) -> Obstru
     return report if report.is_minimal else None
 
 
-def _search_chunk(args: tuple[tuple[str, ...], tuple[tuple[int, int, int], ...]]):
-    dsls, goal = args
-    goal_t = tuple(Triple(*t) for t in goal)
+def _search_chunk(args: tuple[list[CotreeNode], tuple[Triple, ...]]):
+    """Minimal obstructions among trees, each with its sort key."""
+    trees, goal_t = args
     box = Triple(max(t.p for t in goal_t), max(t.q for t in goal_t),
                  max(t.r for t in goal_t))
-    return [rep for dsl in dsls
-            if (rep := _minimal_report(dsl, goal_t, box)) is not None]
+    return [((leaf_count(tree), canonical_code(tree)), rep) for tree in trees
+            if (rep := _minimal_report(tree, goal_t, box)) is not None]
 
 
 def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[ObstructionReport]:
     """All minimal obstructions for goal among cographs on <= n_max vertices.
 
     Enumerates one representative per isomorphism class. Results are sorted
-    by vertex count, then canonical code, independent of jobs.
+    by vertex count, then canonical code, independent of jobs. At most
+    os.cpu_count() worker processes run, however large jobs is.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     goal_t = _normalize_goal(goal)
-    box = Triple(max(t.p for t in goal_t), max(t.q for t in goal_t),
-                 max(t.r for t in goal_t))
-    reports: list[ObstructionReport] = []
+    trees = (tree for n in range(1, n_max + 1) for tree in enumerate_cographs(n))
+    batches = iter(lambda: list(islice(trees, 100)), [])    # until trees run out
+    chunks = ((batch, goal_t) for batch in batches)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        for n in range(1, n_max + 1):
-            for tree in enumerate_cographs(n):
-                rep = _minimal_report(to_expr(tree), goal_t, box)
-                if rep is not None:
-                    reports.append(rep)
+        found = [item for chunk in chunks for item in _search_chunk(chunk)]
     else:
-        goal_plain = tuple(tuple(t) for t in goal_t)
-        chunks = []
-        batch: list[str] = []
-        for n in range(1, n_max + 1):
-            for tree in enumerate_cographs(n):
-                batch.append(to_expr(tree))
-                if len(batch) >= 400:
-                    chunks.append((tuple(batch), goal_plain))
-                    batch = []
-        if batch:
-            chunks.append((tuple(batch), goal_plain))
+        found = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for found in pool.map(_search_chunk, chunks):
-                reports.extend(found)
-
-    def key(rep: ObstructionReport):
-        tree = parse_expr(rep.dsl)
-        return (leaf_count(tree), canonical_code(tree))
-
-    reports.sort(key=key)
-    return reports
+            # a few chunks in flight per worker, so that the cotrees of the
+            # whole search are never in memory at once
+            running: deque = deque()
+            for chunk in chunks:
+                running.append(pool.submit(_search_chunk, chunk))
+                if len(running) > 2 * jobs:
+                    found.extend(running.popleft().result())
+            for future in running:
+                found.extend(future.result())
+    found.sort(key=lambda item: item[0])
+    return [rep for _, rep in found]

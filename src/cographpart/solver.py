@@ -27,9 +27,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
-from .cotree import CotreeNode, Join, Leaf, Union, leaf_count, recognize
+from .cotree import CotreeNode, Join, Leaf, Union, _fold, _unfold, leaf_count, recognize
 from .graph import Graph, iter_bits
 
 __all__ = [
@@ -176,44 +177,14 @@ def _leaf_frontier(P: int, W: int) -> _FrontierT:
     return tuple(cands)
 
 
-def _tree_frontier(tree: CotreeNode, P: int, W: int, record: dict | None = None) -> _FrontierT:
-    """Frontier of tree inside the working region, by iterative post-order.
-
-    When record is given, it collects per internal node the child frontiers
-    and the left-fold prefix frontiers (used for certificate extraction).
-    """
-    leaf = _leaf_frontier(P, W)
-    stack: list[list] = [[tree, 0, None]]
-    ret: _FrontierT | None = None
-    has_ret = False
-    while stack:
-        frame = stack[-1]
-        node = frame[0]
-        if isinstance(node, Leaf):
-            ret = leaf
-            has_ret = True
-            stack.pop()
-            continue
-        if has_ret:
-            if record is not None:
-                entry = record.setdefault(id(node), {"children": [], "prefix": []})
-                entry["children"].append(ret)
-            acc = ret if frame[2] is None else _combine(
-                "U" if isinstance(node, Union) else "J", frame[2], ret, P, W)
-            if record is not None:
-                record[id(node)]["prefix"].append(acc)
-            frame[2] = acc
-            has_ret = False
-        if frame[1] < len(node.children):
-            child = node.children[frame[1]]
-            frame[1] += 1
-            stack.append([child, 0, None])
-        else:
-            ret = frame[2]
-            has_ret = True
-            stack.pop()
-    assert ret is not None
-    return ret
+def _prefix_frontiers(node: CotreeNode, fronts: list[_FrontierT], P: int, W: int) -> list[_FrontierT]:
+    """Frontiers of the left-fold prefixes of node's children, combining the
+    children two at a time; the last is the frontier of node itself."""
+    kind = "U" if isinstance(node, Union) else "J"
+    prefixes = [fronts[0]]
+    for f in fronts[1:]:
+        prefixes.append(_combine(kind, prefixes[-1], f, P, W))
+    return prefixes
 
 
 # -- public solver surface --------------------------------------------
@@ -301,7 +272,9 @@ def feasible_set(graph_or_tree, box) -> TripleSet:
         return TripleSet(box, (Triple(0, 0, 0),))
     P = box.p
     W = 2 * box.p + box.q + box.r
-    work = _tree_frontier(tree, P, W)
+    leaf = _leaf_frontier(P, W)
+    work = _fold(tree, lambda _: leaf,
+                 lambda node, fronts: _prefix_frontiers(node, fronts, P, W)[-1])
     frontier = tuple(
         Triple(a, b, c) for a, b, c in work
         if a <= box.p and b <= box.q and c <= box.r
@@ -369,35 +342,27 @@ def _find_split(kind: str, fl: _FrontierT, fr: _FrontierT, target: Triple):
     raise AssertionError("no split reproduces a feasible target")
 
 
-def _assign(node: CotreeNode, target: Triple, record: dict) -> dict[int, tuple[str, int]]:
-    if isinstance(node, Leaf):
-        if target.p >= 1:
-            lab = ("F", 1)
-        elif target.q >= 1:
-            lab = ("Q", 1)
-        elif target.r >= 1:
-            lab = ("R", 0)
-        else:
-            raise AssertionError("leaf reached with an empty budget")
-        return {node.vertex: lab}
+def _leaf_label(target: Triple) -> tuple[str, int]:
+    if target.p >= 1:
+        return ("F", 1)
+    if target.q >= 1:
+        return ("Q", 1)
+    if target.r >= 1:
+        return ("R", 0)
+    raise AssertionError("leaf reached with an empty budget")
 
-    kind = "U" if isinstance(node, Union) else "J"
-    entry = record[id(node)]
-    children_f = entry["children"]
-    prefix_f = entry["prefix"]
 
-    def fold(i: int, tgt: Triple) -> dict[int, tuple[str, int]]:
-        if i == 0:
-            return _assign(node.children[0], tgt, record)
-        lm, rm, t = _find_split(kind, prefix_f[i - 1], children_f[i], tgt)
-        left = fold(i - 1, lm)
-        right = _assign(node.children[i], rm, record)
+def _merge(kind: str, splits: list, maps: tuple[dict, ...]) -> dict[int, tuple[str, int]]:
+    """Fuse the children's label maps left to right; splits[i] is the
+    (left, right, crossing) choice that joins child i to the ones before it."""
+    merged = maps[0]
+    for i in range(1, len(maps)):
         if kind == "U":
-            left.update(right)
-            return left
-        return _merge_join(left, lm, right, rm, t)
-
-    return fold(len(node.children) - 1, target)
+            merged.update(maps[i])
+        else:
+            lm, rm, t = splits[i]
+            merged = _merge_join(merged, lm, maps[i], rm, t)
+    return merged
 
 
 def _merge_join(left: dict, lm: Triple, right: dict, rm: Triple, t: int):
@@ -454,11 +419,28 @@ def extract_certificate(graph_or_tree, triple) -> PartitionCertificate:
         return PartitionCertificate(t, ())
     P = t.p
     W = t.obstruction_weight()
-    record: dict = {}
-    frontier = _tree_frontier(tree, P, W, record=record)
-    if not any(t.dominates(Triple(*m)) for m in frontier):
+    # bottom-up: per node, its prefix frontiers and its children's entries
+    leaf = ((_leaf_frontier(P, W),), ())
+    info = _fold(tree, lambda _: leaf, lambda node, kids: (
+        _prefix_frontiers(node, [k[0][-1] for k in kids], P, W), kids))
+    if not any(t.dominates(Triple(*m)) for m in info[0][-1]):
         raise ValueError(f"no ({t.p}, {t.q}, {t.r})-partition exists")
-    assignment = _assign(tree, t, record)
+
+    def expand(seed):
+        """Split a node's target over its children, last child first."""
+        node, (prefixes, kids), target = seed
+        if isinstance(node, Leaf):
+            return {node.vertex: _leaf_label(target)}, ()
+        kind = "U" if isinstance(node, Union) else "J"
+        targets = [target] * len(kids)
+        splits = [None] * len(kids)
+        for i in range(len(kids) - 1, 0, -1):
+            splits[i] = _find_split(kind, prefixes[i - 1], kids[i][0][-1], target)
+            target, targets[i], _ = splits[i]
+        targets[0] = target
+        return partial(_merge, kind, splits), list(zip(node.children, kids, targets))
+
+    assignment = _unfold((tree, info, t), expand)
     labels = []
     for v in range(leaf_count(tree)):
         kind, idx = assignment[v]
@@ -530,12 +512,16 @@ def vertex_arboricity(graph_or_tree) -> int:
 
 
 def chromatic_number(graph_or_tree) -> int:
-    """Least q such that (0, q, 0) is feasible."""
+    """Least q such that (0, q, 0) is feasible.
+
+    Cographs are perfect (Seinsche 1974), so this is the clique number: a
+    union takes the largest part's, a join adds its children's.
+    """
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return 0
-    n = leaf_count(tree)
-    return _doubling_min(tree, n, lambda k: Triple(0, k, 0), lambda m: m.q)
+    return _fold(tree, lambda _: 1,
+                 lambda node, omegas: sum(omegas) if isinstance(node, Join) else max(omegas))
 
 
 def min_deletions(graph_or_tree, p: int, q: int) -> int:

@@ -12,9 +12,10 @@ fold over the cotree, so the profile comes out of one bottom-up pass:
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
-from .cotree import Join, Leaf, Union
+from .cotree import Union, _fold
 from .solver import _coerce_tree
 
 __all__ = ["StrengthProfile", "strength_profile", "q_from_strength"]
@@ -34,36 +35,13 @@ def strength_profile(graph_or_tree) -> StrengthProfile:
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return StrengthProfile(0, 0, 0)
-    stack: list[list] = [[tree, 0, None]]
-    ret: tuple[int, int] | None = None
-    has_ret = False
-    while stack:
-        frame = stack[-1]
-        node = frame[0]
-        if isinstance(node, Leaf):
-            ret = (1, 0)
-            has_ret = True
-            stack.pop()
-            continue
-        if has_ret:
-            acc = frame[2]
-            if acc is None:
-                frame[2] = ret
-            elif isinstance(node, Union):
-                frame[2] = (max(acc[0], ret[0]), max(acc[1], ret[1], 1))
-            else:
-                frame[2] = (acc[0] + ret[0], acc[1] + ret[1])
-            has_ret = False
-        if frame[1] < len(node.children):
-            child = node.children[frame[1]]
-            frame[1] += 1
-            stack.append([child, 0, None])
-        else:
-            ret = frame[2]
-            has_ret = True
-            stack.pop()
-    assert ret is not None
-    omega, pairs = ret
+
+    def node(n, kids: list[tuple[int, int]]) -> tuple[int, int]:
+        if isinstance(n, Union):
+            return reduce(lambda a, b: (max(a[0], b[0]), max(a[1], b[1], 1)), kids)
+        return reduce(lambda a, b: (a[0] + b[0], a[1] + b[1]), kids)
+
+    omega, pairs = _fold(tree, lambda _: (1, 0), node)
     return StrengthProfile(omega, pairs, max(omega, pairs + 1))
 
 

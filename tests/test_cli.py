@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cographpart import Graph
+from cographpart import Graph, cli
 from cographpart.cli import main
 
 C4_DSL = "C(U(2*K(2)))"
@@ -136,6 +136,17 @@ def test_certificate_infeasible(capsys):
                           "--triple", "1,0,0")
     assert code == 1
     assert data == {"feasible": False, "triple": [1, 0, 0]}
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_resource_errors_are_input_errors(capsys, monkeypatch, error):
+    def explode(*args):
+        raise error()
+
+    monkeypatch.setattr(cli, "extract_certificate", explode)
+    code, data = run_json(capsys, "certificate", "--dsl", C4_DSL, "--triple", "0,2,0")
+    assert code == 2
+    assert error.__name__ in data["error"]
 
 
 def test_check_rejects_malformed_certificate(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for cotree construction, the expression language, recognition
 and enumeration."""
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -105,8 +106,14 @@ def test_parse_expr_complement():
 def test_parse_expr_errors():
     for bad in ["", "K(0)", "0*K(2)", "K(2) junk", "U(K(2)", "Q(3)", "U()",
                 "K(2))", "2*", "K(-1)"]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             parse_expr(bad)
+        position = int(re.search(r"position (\d+)", str(info.value)).group(1))
+        assert position <= len(bad)
+    for cut in ["", "2*", "U(K(1),", "C( "]:
+        expected = f"position {len(cut)}: expected K, I, U, J, C, or a repetition count"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            parse_expr(cut)
 
 
 def test_to_expr_round_trip_enumerated():

@@ -1,5 +1,7 @@
 """Tests for obstruction families, the minimality checker and search."""
+import os
 import random
+from concurrent.futures import Future
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +35,7 @@ from cographpart import (
     to_expr,
     vertex_arboricity,
 )
+from cographpart import obstructions
 
 from conftest import to_nx
 
@@ -325,3 +328,29 @@ def test_search_parallel_matches_serial():
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
     # K_5 is the only member with at most 6 vertices
     assert [r.dsl for r in serial] == ["K(5)"]
+
+
+def test_search_caps_jobs_at_cpu_count(monkeypatch):
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(obstructions, "ProcessPoolExecutor", InProcessPool)
+    capped = search_minimal_obstructions(6, Triple(2, 0, 0), jobs=10**6)
+    cpus = os.cpu_count() or 1
+    assert workers == ([] if cpus == 1 else [cpus])
+    serial = search_minimal_obstructions(6, Triple(2, 0, 0))
+    assert [r.to_json() for r in capped] == [r.to_json() for r in serial]

@@ -308,6 +308,13 @@ def test_derived_parameters_match_oracle():
         assert chi == 0 or not brute_force_partitionable(g, (0, chi - 1, 0))
 
 
+def test_chromatic_number_matches_dynamic_program():
+    for n in range(1, 9):
+        for t in enumerate_cographs(n):
+            fs = feasible_set(t, (0, n, 0))
+            assert chromatic_number(t) == min(m.q for m in fs.frontier)
+
+
 def test_accepts_graph_tree_and_tuple_inputs():
     assert is_partitionable(C4, Triple(0, 2, 0))
     assert is_partitionable(C4_TREE, [0, 2, 0])
