@@ -144,7 +144,7 @@ def _cmd_realize(args) -> int:
 def _cmd_solve(args) -> int:
     tree = _load_tree(args)
     triple = _parse_triple(args.triple)
-    feasible = True if tree is None else is_partitionable(tree, triple)
+    feasible = is_partitionable(tree, triple)
     _emit(args, {"feasible": feasible, "triple": list(triple)})
     return 0 if feasible else 1
 
@@ -152,41 +152,38 @@ def _cmd_solve(args) -> int:
 def _cmd_frontier(args) -> int:
     tree = _load_tree(args)
     box = _parse_triple(args.box)
-    fs = feasible_set(tree if tree is not None else Graph(0), box)
+    fs = feasible_set(tree, box)
     _emit(args, fs.to_json())
     return 0
 
 
 def _cmd_arboricity(args) -> int:
     tree = _load_tree(args)
-    _emit(args, {"rho": 0 if tree is None else vertex_arboricity(tree)})
+    _emit(args, {"rho": vertex_arboricity(tree)})
     return 0
 
 
 def _cmd_chromatic(args) -> int:
     tree = _load_tree(args)
-    _emit(args, {"chi": 0 if tree is None else chromatic_number(tree)})
+    _emit(args, {"chi": chromatic_number(tree)})
     return 0
 
 
 def _cmd_mindel(args) -> int:
     tree = _load_tree(args)
-    r = 0 if tree is None else min_deletions(tree, args.p, args.q)
+    r = min_deletions(tree, args.p, args.q)
     _emit(args, {"p": args.p, "q": args.q, "r": r})
     return 0
 
 
 def _cmd_ifvs_q(args) -> int:
     tree = _load_tree(args)
-    _emit(args, {"q": 0 if tree is None else min_q_feedback(tree)})
+    _emit(args, {"q": min_q_feedback(tree)})
     return 0
 
 
 def _cmd_strength(args) -> int:
     tree = _load_tree(args)
-    if tree is None:
-        _emit(args, {"omega": 0, "tau": 0, "strength": 0})
-        return 0
     profile = strength_profile(tree)
     _emit(args, {"omega": profile.omega, "tau": profile.tau,
                  "strength": profile.strength})
@@ -196,9 +193,6 @@ def _cmd_strength(args) -> int:
 def _cmd_certificate(args) -> int:
     tree = _load_tree(args)
     triple = _parse_triple(args.triple)
-    if tree is None:
-        _emit(args, {"triple": list(triple), "labels": []})
-        return 0
     try:
         cert = extract_certificate(tree, triple)
     except ValueError:

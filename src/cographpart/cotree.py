@@ -370,6 +370,22 @@ def recognize(graph: Graph) -> CotreeNode | None:
     return _unfold((1 << graph.n) - 1, expand)
 
 
+def _coerce_tree(graph_or_tree) -> CotreeNode | None:
+    """Cotree of a Graph or cotree input; None, as from recognize, stands for
+    the empty graph."""
+    if isinstance(graph_or_tree, Graph):
+        return recognize(graph_or_tree)
+    if graph_or_tree is None or isinstance(graph_or_tree, (Leaf, Union, Join)):
+        return graph_or_tree
+    raise TypeError(f"expected a Graph or cotree node, got {type(graph_or_tree).__name__}")
+
+
+def _as_graph(graph_or_tree) -> Graph:
+    if isinstance(graph_or_tree, Graph):
+        return graph_or_tree
+    return realize(graph_or_tree)
+
+
 # -- enumeration -------------------------------------------------------
 
 

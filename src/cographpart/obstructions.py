@@ -23,14 +23,12 @@ from itertools import combinations_with_replacement, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .cotree import (
-    CotreeNode, Leaf, canonical_code, complement_tree, enumerate_cographs,
-    join_of, leaf_count, parse_expr, realize, recognize, relabel, to_expr, union_of,
+    CotreeNode, Leaf, _as_graph, _coerce_tree, canonical_code, complement_tree,
+    enumerate_cographs, join_of, leaf_count, parse_expr, realize, recognize, relabel,
+    to_expr, union_of,
 )
 from .graph import Graph, iter_bits
-from .solver import (
-    Triple, as_triple, chromatic_number, extract_certificate, feasible_set,
-    _coerce_tree,
-)
+from .solver import Triple, as_triple, chromatic_number, extract_certificate, feasible_set
 
 __all__ = [
     "FAMILY_A2_DSL", "family_A2", "family_Ap_dsl", "family_Ap",
@@ -335,16 +333,12 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
     for v in range(graph.n):
         rest = [u for u in range(graph.n) if u != v]
         subtree = recognize(graph.induced_subgraph(rest))
-        found = None
-        for t in goal_t:
-            if subtree is None or feasible_set(subtree, t).contains(t):
-                found = t
-                break
+        found = next((t for t in goal_t if feasible_set(subtree, t).contains(t)), None)
         if found is None:
             return ObstructionReport(
                 dsl=dsl, graph6=graph.to_graph6(), goal=goal_t,
                 is_obstruction=True, is_minimal=False, failing_vertex=v)
-        labels = extract_certificate(subtree, found).labels if subtree else ()
+        labels = extract_certificate(subtree, found).labels
         witnesses.append(DeletionWitness(v, found, tuple(zip(rest, labels))))
     return ObstructionReport(
         dsl=dsl, graph6=graph.to_graph6(), goal=goal_t,
@@ -352,12 +346,6 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
 
 
 # -- induced containment -----------------------------------------------
-
-
-def _as_graph(graph_or_tree) -> Graph:
-    if isinstance(graph_or_tree, Graph):
-        return graph_or_tree
-    return realize(graph_or_tree)
 
 
 def contains_induced(host, pattern) -> bool:

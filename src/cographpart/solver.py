@@ -30,8 +30,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .cotree import CotreeNode, Join, Leaf, Union, _fold, _unfold, leaf_count, recognize
-from .graph import Graph, iter_bits
+from .cotree import (
+    CotreeNode, Join, Leaf, Union, _as_graph, _coerce_tree, _fold, _unfold, leaf_count,
+)
+from .graph import iter_bits
+from .strength import q_from_strength, strength_profile
 
 __all__ = [
     "Triple", "TripleSet", "PartitionCertificate",
@@ -256,14 +259,6 @@ class TripleSet:
                    tuple(as_triple(t) for t in data["frontier"]))
 
 
-def _coerce_tree(graph_or_tree) -> CotreeNode | None:
-    if isinstance(graph_or_tree, Graph):
-        return recognize(graph_or_tree)
-    if isinstance(graph_or_tree, (Leaf, Union, Join)):
-        return graph_or_tree
-    raise TypeError(f"expected a Graph or cotree node, got {type(graph_or_tree).__name__}")
-
-
 def feasible_set(graph_or_tree, box) -> TripleSet:
     """TripleSet of all feasible triples of the input within box."""
     box = as_triple(box, "box")
@@ -455,9 +450,7 @@ def check_partition(graph, certificate, triple) -> bool:
     return False.
     """
     t = as_triple(triple)
-    if not isinstance(graph, Graph):
-        from .cotree import realize
-        graph = realize(graph)
+    graph = _as_graph(graph)
     labels = certificate.labels if isinstance(certificate, PartitionCertificate) else tuple(certificate)
     if len(labels) != graph.n:
         raise ValueError(f"certificate labels {len(labels)} vertices, graph has {graph.n}")
@@ -491,24 +484,34 @@ def check_partition(graph, certificate, triple) -> bool:
 # -- derived parameters ------------------------------------------------
 
 
-def _doubling_min(tree: CotreeNode, cap: int, make_box, pick) -> int:
-    k = 1
+def _doubling_min(tree: CotreeNode, first: int, last: int, make_box, pick) -> int:
+    """Least budget in [first, last] through the boxes first + 2^i - 1, capped
+    at last; the caller has proven make_box(last) feasible."""
+    step = 1
     while True:
-        fs = feasible_set(tree, make_box(min(k, cap)))
+        k = min(first + step - 1, last)
+        fs = feasible_set(tree, make_box(k))
         if fs.frontier:
             return min(pick(m) for m in fs.frontier)
-        if k >= cap:
-            raise AssertionError("search cap reached without a feasible triple")
-        k *= 2
+        if k >= last:
+            # a bracket's last box is feasible, so only a solver bug gets here
+            raise AssertionError("last box of the search came back empty")
+        step *= 2
 
 
 def vertex_arboricity(graph_or_tree) -> int:
-    """Least p such that (p, 0, 0) is feasible."""
+    """Least p such that (p, 0, 0) is feasible.
+
+    A forest holds at most two vertices of a clique, so p >= ceil(omega/2);
+    colour classes are forests and cographs are perfect, so p <= chi = omega.
+    Only that bracket is searched.
+    """
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return 0
-    n = leaf_count(tree)
-    return _doubling_min(tree, n, lambda k: Triple(k, 0, 0), lambda m: m.p)
+    omega = chromatic_number(tree)
+    return _doubling_min(tree, (omega + 1) // 2, omega,
+                         lambda k: Triple(k, 0, 0), lambda m: m.p)
 
 
 def chromatic_number(graph_or_tree) -> int:
@@ -531,15 +534,13 @@ def min_deletions(graph_or_tree, p: int, q: int) -> int:
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return 0
-    n = leaf_count(tree)
-    return _doubling_min(tree, n, lambda k: Triple(p, q, k), lambda m: m.r)
+    # deleting every vertex is always a partition
+    return _doubling_min(tree, 1, leaf_count(tree),
+                         lambda k: Triple(p, q, k), lambda m: m.r)
 
 
 def min_q_feedback(graph_or_tree) -> int:
     """Least q such that (1, q, 0) is feasible: the rest of the graph after
-    removing a forest must be q-colourable."""
-    tree = _coerce_tree(graph_or_tree)
-    if tree is None:
-        return 0
-    n = leaf_count(tree)
-    return _doubling_min(tree, n, lambda k: Triple(1, k, 0), lambda m: m.q)
+    removing a forest must be q-colourable. The paper proves this q is
+    max(0, s - 2) for a cograph of strength s."""
+    return q_from_strength(strength_profile(graph_or_tree).strength)

@@ -15,8 +15,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import NamedTuple
 
-from .cotree import Union, _fold
-from .solver import _coerce_tree
+from .cotree import Union, _coerce_tree, _fold
 
 __all__ = ["StrengthProfile", "strength_profile", "q_from_strength"]
 

@@ -1,10 +1,12 @@
 """Shared helpers: networkx conversion and the small-graph atlas."""
+import os
 from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
+import cographpart
 from cographpart import Graph
 
 
@@ -46,3 +48,13 @@ def atlas_graphs() -> tuple:
 @pytest.fixture(scope="session")
 def atlas():
     return atlas_graphs()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Interpreters started by the tests import the package the tests import,
+    also when pytest's pythonpath setting, not the environment, found it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(cographpart.__file__)),
+                  prepend=os.pathsep)
+        yield

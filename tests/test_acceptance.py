@@ -35,7 +35,6 @@ from cographpart import (
     iter_family_Oi,
     leaf_count,
     max_join_children,
-    min_q_feedback,
     parse_expr,
     q_from_strength,
     random_balanced_cotree,
@@ -110,15 +109,17 @@ def test_one_forest_characterization():
 
 
 def test_strength_formula_for_q():
+    def assert_least_q(t, f):
+        assert is_partitionable(t, (1, f, 0))
+        assert f == 0 or not is_partitionable(t, (1, f - 1, 0))
+
     for n in range(2, 11):
         for t in enumerate_cographs(n):
-            assert min_q_feedback(t) == \
-                q_from_strength(strength_profile(t).strength)
+            assert_least_q(t, q_from_strength(strength_profile(t).strength))
     rng = random.Random(1402)
     for _ in range(1000):
         t = random_cotree(rng.randrange(2, 201), rng)
-        assert min_q_feedback(t) == \
-            q_from_strength(strength_profile(t).strength)
+        assert_least_q(t, q_from_strength(strength_profile(t).strength))
     print("PASS 4: q equals strength minus two on all cographs with 2..10 "
           "vertices and 1000 random cotrees up to 200 leaves")
 

@@ -105,6 +105,35 @@ def test_mindel(capsys):
     assert data == {"p": 0, "q": 1, "r": 2}
 
 
+def test_empty_graph(capsys):
+    empty = ("--graph6", "?")
+    assert run_json(capsys, "solve", *empty, "--triple", "1,2,3") == \
+        (0, {"feasible": True, "triple": [1, 2, 3]})
+    assert run_json(capsys, "frontier", *empty, "--box", "2,2,2") == \
+        (0, {"box": [2, 2, 2], "frontier": [[0, 0, 0]]})
+    assert run_json(capsys, "arboricity", *empty) == (0, {"rho": 0})
+    assert run_json(capsys, "chromatic", *empty) == (0, {"chi": 0})
+    assert run_json(capsys, "ifvs-q", *empty) == (0, {"q": 0})
+    assert run_json(capsys, "mindel", *empty, "--p", "1", "--q", "0") == \
+        (0, {"p": 1, "q": 0, "r": 0})
+    assert run_json(capsys, "strength", *empty) == \
+        (0, {"omega": 0, "tau": 0, "strength": 0})
+    assert run_json(capsys, "certificate", *empty, "--triple", "0,1,0") == \
+        (0, {"triple": [0, 1, 0], "labels": []})
+    assert run_json(capsys, "recognize", *empty) == \
+        (0, {"cograph": True, "n": 0, "dsl": ""})
+    code, data = run_json(capsys, "obstructions", "check", *empty,
+                          "--goal", "(1,0,0)")
+    assert code == 2 and "error" in data
+
+
+@pytest.mark.parametrize("graph", [("--graph6", "?"), ("--dsl", "K(3)")])
+def test_mindel_rejects_negative_budgets(capsys, graph):
+    code, data = run_json(capsys, "mindel", *graph, "--p", "-1", "--q", "0")
+    assert code == 2
+    assert data == {"error": "class budgets must be nonnegative"}
+
+
 def test_edges_file_input(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("3\n0 1\n1 2\n")

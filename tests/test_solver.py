@@ -315,6 +315,35 @@ def test_chromatic_number_matches_dynamic_program():
             assert chromatic_number(t) == min(m.q for m in fs.frontier)
 
 
+def test_vertex_arboricity_matches_dynamic_program():
+    # the box (n, 0, 0) does not depend on omega, unlike the searched bracket
+    for n in range(1, 9):
+        for t in enumerate_cographs(n):
+            fs = feasible_set(t, (n, 0, 0))
+            assert vertex_arboricity(t) == min(m.p for m in fs.frontier)
+
+
+def test_min_q_feedback_matches_dynamic_program():
+    for n in range(1, 9):
+        for t in enumerate_cographs(n):
+            fs = feasible_set(t, (1, n, 0))
+            assert min_q_feedback(t) == min(m.q for m in fs.frontier)
+
+
+@pytest.mark.parametrize("dsl, rho", [
+    ("K(3)", 2), ("K(5)", 3), ("K(7)", 4),    # lower end, ceil(omega / 2)
+    ("C(U(30*K(6)))", 26),                    # inside [15, 30]
+    ("C(U(10*K(10)))", 10),                   # upper end, omega
+])
+def test_vertex_arboricity_across_the_bracket(dsl, rho):
+    t = parse_expr(dsl)
+    omega = chromatic_number(t)
+    assert (omega + 1) // 2 <= rho <= omega
+    assert vertex_arboricity(t) == rho
+    assert is_partitionable(t, (rho, 0, 0))
+    assert not is_partitionable(t, (rho - 1, 0, 0))
+
+
 def test_accepts_graph_tree_and_tuple_inputs():
     assert is_partitionable(C4, Triple(0, 2, 0))
     assert is_partitionable(C4_TREE, [0, 2, 0])
