@@ -370,6 +370,18 @@ def recognize(graph: Graph) -> CotreeNode | None:
     return _unfold((1 << graph.n) - 1, expand)
 
 
+def _delete_leaf(tree: CotreeNode, vertex: int) -> CotreeNode | None:
+    """Normalized cotree of the graph without vertex, None when no vertex is
+    left; the other leaves keep their ids."""
+    def node(n: CotreeNode, kids: list) -> CotreeNode:
+        # at most one child lost its leaf; union_of/join_of lift a lone
+        # remaining child, and flatten it when it now matches its parent
+        return (union_of if isinstance(n, Union) else join_of)(
+            [k for k in kids if k is not None])
+
+    return _fold(tree, lambda leaf: None if leaf.vertex == vertex else leaf, node)
+
+
 def _coerce_tree(graph_or_tree) -> CotreeNode | None:
     """Cotree of a Graph or cotree input; None, as from recognize, stands for
     the empty graph."""
@@ -381,8 +393,11 @@ def _coerce_tree(graph_or_tree) -> CotreeNode | None:
 
 
 def _as_graph(graph_or_tree) -> Graph:
+    """Graph of a Graph or cotree input; None stands for the empty graph."""
     if isinstance(graph_or_tree, Graph):
         return graph_or_tree
+    if graph_or_tree is None:
+        return Graph(0)
     return realize(graph_or_tree)
 
 
@@ -401,10 +416,11 @@ def _multisets(total: int, pool: list[tuple[int, CotreeNode]]):
             return
         for idx in range(start, len(pool)):
             size, tree = pool[idx]
-            if size <= remaining:
-                chosen.append(tree)
-                yield from rec(remaining - size, idx)
-                chosen.pop()
+            if size > remaining:    # the pool is in ascending size order
+                break
+            chosen.append(tree)
+            yield from rec(remaining - size, idx)
+            chosen.pop()
 
     yield from rec(total, 0)
 

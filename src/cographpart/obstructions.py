@@ -23,9 +23,9 @@ from itertools import combinations_with_replacement, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .cotree import (
-    CotreeNode, Leaf, _as_graph, _coerce_tree, canonical_code, complement_tree,
-    enumerate_cographs, join_of, leaf_count, parse_expr, realize, recognize, relabel,
-    to_expr, union_of,
+    CotreeNode, Leaf, _as_graph, _coerce_tree, _delete_leaf, _fold, canonical_code,
+    complement_tree, enumerate_cographs, join_of, leaf_count, parse_expr, realize,
+    recognize, relabel, to_expr, union_of,
 )
 from .graph import Graph, iter_bits
 from .solver import Triple, as_triple, chromatic_number, extract_certificate, feasible_set
@@ -417,12 +417,38 @@ def is_family_free(graph, family) -> bool:
 # -- exhaustive search -------------------------------------------------
 
 
-def _minimal_report(tree: CotreeNode, goal_t: tuple[Triple, ...], box: Triple) -> ObstructionReport | None:
+def _twin_representatives(tree: CotreeNode) -> list[int]:
+    """One vertex per set of sibling leaves. Sibling leaves are twins, so
+    deleting any one of them leaves the same graph up to isomorphism."""
+    if isinstance(tree, Leaf):
+        return [tree.vertex]
+    picks: list[int] = []
+
+    def node(n: CotreeNode, _) -> None:
+        leaf = next((c for c in n.children if isinstance(c, Leaf)), None)
+        if leaf is not None:
+            picks.append(leaf.vertex)
+
+    _fold(tree, lambda _: None, node)
+    return picks
+
+
+def _feasible(tree: CotreeNode | None, goal_t: tuple[Triple, ...], box: Triple) -> bool:
     fs = feasible_set(tree, box)
-    if any(fs.contains(t) for t in goal_t):
+    return any(fs.contains(t) for t in goal_t)
+
+
+def _minimal_report(tree: CotreeNode, goal_t: tuple[Triple, ...], box: Triple) -> ObstructionReport | None:
+    """The report on tree when it is a minimal obstruction, else None.
+
+    The one-vertex deletions are tested on the cotree first, so only minimal
+    obstructions pay for is_minimal_obstruction's graphs and witnesses.
+    """
+    if _feasible(tree, goal_t, box):
         return None
-    report = is_minimal_obstruction(tree, goal_t)
-    return report if report.is_minimal else None
+    if not all(_feasible(_delete_leaf(tree, v), goal_t, box) for v in _twin_representatives(tree)):
+        return None
+    return is_minimal_obstruction(tree, goal_t)
 
 
 def _search_chunk(args: tuple[list[CotreeNode], tuple[Triple, ...]]):

@@ -3,7 +3,7 @@
 These exist to validate the cotree solver on inputs small enough to check
 by direct search. They are deliberately independent of the solver: they
 work on plain graphs, never build cotrees, and share no code with the
-dynamic program beyond the Graph type itself.
+dynamic program beyond the Graph type and the StrengthProfile record.
 
 All searches are budgeted. A search that would exceed its budget raises
 OracleBudgetExceeded instead of returning a possibly wrong answer.
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph, iter_bits
+from .strength import StrengthProfile
 
 __all__ = [
     "OracleBudget", "OracleBudgetExceeded",
@@ -153,15 +154,13 @@ def brute_force_arboricity(graph: Graph, budget: OracleBudget | None = None) -> 
     return p
 
 
-def brute_force_strength(graph: Graph, budget: OracleBudget | None = None):
+def brute_force_strength(graph: Graph, budget: OracleBudget | None = None) -> StrengthProfile:
     """StrengthProfile by scanning every vertex subset.
 
     tau is the largest s such that some 2s vertices induce a complete graph
     minus a perfect matching; the strength is the larger of the clique
     number and tau + 1.
     """
-    from .strength import StrengthProfile
-
     budget = budget or OracleBudget()
     _check_size(graph, budget)
     n = graph.n

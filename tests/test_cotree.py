@@ -32,6 +32,8 @@ from cographpart import (
     union_of,
 )
 
+from cographpart.cotree import _delete_leaf
+
 from conftest import from_nx, has_p4_brute
 
 # Unlabelled cographs on 1..10 vertices.
@@ -245,6 +247,24 @@ def test_enumerate_counts():
     codes = {canonical_code(t) for t in trees}
     assert len(codes) == 180
     assert all(leaf_count(t) == 7 for t in trees)
+
+
+def test_delete_leaf_matches_recognize():
+    """Deleting a leaf on the cotree gives the normalized cotree that
+    recognize finds for the induced subgraph, with the other ids kept."""
+    for n in range(1, 9):
+        for tree in enumerate_cographs(n):
+            graph = realize(tree)
+            for v in range(n):
+                rest = [u for u in range(n) if u != v]
+                got = _delete_leaf(tree, v)
+                want = recognize(graph.induced_subgraph(rest))
+                if n == 1:
+                    assert got is None and want is None
+                    continue
+                assert canonical_code(got) == canonical_code(want)
+                assert sorted(leaves(got)) == rest
+                assert_normalized(got)
 
 
 def test_enumerate_matches_atlas(atlas):

@@ -19,6 +19,7 @@ from cographpart import (
     contains_induced,
     count_Oi,
     count_Oi_report,
+    enumerate_cographs,
     family_A2,
     family_Ap,
     family_Ap_dsl,
@@ -260,6 +261,9 @@ def test_contains_induced_basic():
     assert not contains_induced(Graph.complete(6), c4)
     assert contains_induced(c4, Graph(1))
     assert contains_induced(c4, Graph(0))
+    assert contains_induced(Graph(0), Graph(0))
+    assert contains_induced(None, Graph(0))
+    assert not contains_induced(None, Graph(1))
     assert not contains_induced(Graph(2), Graph.complete(2))
 
 
@@ -286,6 +290,8 @@ def test_is_family_free():
     assert not is_family_free(Graph.complete(5), family_A2())
     assert not is_family_free(realize(parse_expr("C(U(3*K(3)))")), family_A2())
     assert is_family_free(forest, [])
+    assert is_family_free(Graph(0), family_A2())
+    assert is_family_free(None, family_A2())
 
 
 def test_search_arboricity_one():
@@ -328,6 +334,26 @@ def test_search_parallel_matches_serial():
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
     # K_5 is the only member with at most 6 vertices
     assert [r.dsl for r in serial] == ["K(5)"]
+
+
+def slow_search(n_max, goal):
+    """Every cograph on <= n_max vertices through is_minimal_obstruction,
+    keeping the minimal ones in the search's order."""
+    found = [((n, canonical_code(tree)), report)
+             for n in range(1, n_max + 1) for tree in enumerate_cographs(n)
+             if (report := is_minimal_obstruction(tree, goal)).is_minimal]
+    found.sort(key=lambda item: item[0])
+    return [report.to_json() for _, report in found]
+
+
+@pytest.mark.parametrize("goal", [
+    Triple(2, 0, 0), Triple(1, 1, 0), [Triple(0, 2, 1), Triple(0, 1, 2)]])
+def test_search_matches_slow_reference(goal):
+    want = slow_search(9, goal)
+    assert want
+    for jobs in (1, 2):
+        reports = search_minimal_obstructions(9, goal, jobs=jobs)
+        assert [r.to_json() for r in reports] == want
 
 
 def test_search_caps_jobs_at_cpu_count(monkeypatch):

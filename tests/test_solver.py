@@ -105,6 +105,10 @@ def test_empty_graph():
     ts = feasible_set(Graph(0), (2, 2, 2))
     assert ts.contains((0, 0, 0))
     assert ts.frontier == (Triple(0, 0, 0),)
+    for empty in (Graph(0), None):
+        cert = extract_certificate(empty, (0, 0, 0))
+        assert cert.labels == ()
+        assert check_partition(empty, cert, (0, 0, 0))
 
 
 def test_non_cograph_rejected():
