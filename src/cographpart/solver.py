@@ -17,10 +17,11 @@ The solver walks the cotree bottom-up, combining children two at a time:
   qu+qd, ru+rd) into (pu+pd+t, qu+qd-t, ru+rd-t).
 
 Internally every node's frontier lives in the working region {(a, b, c):
-a <= P, 2a + b + c <= 2P + Q + R} for the query box (P, Q, R). The weight
-2p + q + r of a join combination equals the sum of the child weights and
-never decreases elsewhere, so restricting to the region loses nothing for
-queries inside the box, while keeping frontiers small.
+a <= P, a + b <= P + Q, a + c <= P + R} for the query box (P, Q, R). None of
+p, p + q and p + r decreases from a child's triple to a derived one (a join
+adds the other side's sums whatever t is), so a derivation ending inside the
+box stays in this downward-closed region, and each frontier is exact on it.
+It caps q at P + Q - p: at most (P + 1)(P + Q + 1) triples, whatever R is.
 """
 from __future__ import annotations
 
@@ -137,11 +138,12 @@ def _minimalize(cands) -> _FrontierT:
     return tuple(out)
 
 
-def _combine(kind: str, fl: _FrontierT, fr: _FrontierT, P: int, W: int) -> _FrontierT:
-    key = (kind, P, W, fl, fr)
+def _combine(kind: str, fl: _FrontierT, fr: _FrontierT, region: tuple[int, int, int]) -> _FrontierT:
+    key = (kind, *region, fl, fr)
     hit = _combine_cache.get(key)
     if hit is not None:
         return hit
+    P, PQ, PR = region
     cands: list[tuple[int, int, int]] = []
     if kind == "U":
         for a, b, c in fl:
@@ -149,21 +151,22 @@ def _combine(kind: str, fl: _FrontierT, fr: _FrontierT, P: int, W: int) -> _Fron
                 aa = a if a >= a2 else a2
                 bb = b if b >= b2 else b2
                 cc = c + c2
-                if 2 * aa + bb + cc <= W:
+                if aa + bb <= PQ and aa + cc <= PR:
                     cands.append((aa, bb, cc))
     else:
         for a, b, c in fl:
             for a2, b2, c2 in fr:
-                # the weight 2p+q+r of every derived triple is the sum of
-                # the pair's weights, independent of the crossing count
-                if 2 * (a + a2) + b + b2 + c + c2 > W:
+                # p + q and p + r of every derived triple are the pair's sums,
+                # independent of the crossing count
+                aa = a + a2
+                if aa + b + b2 > PQ or aa + c + c2 > PR:
                     continue
                 tmax = min(c, b2) + min(b, c2)
-                room = P - a - a2
+                room = P - aa
                 if tmax > room:
                     tmax = room
                 for t in range(tmax + 1):
-                    cands.append((a + a2 + t, b + b2 - t, c + c2 - t))
+                    cands.append((aa + t, b + b2 - t, c + c2 - t))
     result = _minimalize(cands)
     if len(_combine_cache) >= _COMBINE_CACHE_LIMIT:
         _combine_cache.clear()
@@ -171,22 +174,25 @@ def _combine(kind: str, fl: _FrontierT, fr: _FrontierT, P: int, W: int) -> _Fron
     return result
 
 
-def _leaf_frontier(P: int, W: int) -> _FrontierT:
+def _leaf_frontier(region: tuple[int, int, int]) -> _FrontierT:
+    P, PQ, PR = region
     cands = []
-    if P >= 1 and W >= 2:
+    if P >= 1:
         cands.append((1, 0, 0))
-    if W >= 1:
-        cands.extend([(0, 1, 0), (0, 0, 1)])
+    if PQ >= 1:
+        cands.append((0, 1, 0))
+    if PR >= 1:
+        cands.append((0, 0, 1))
     return tuple(cands)
 
 
-def _prefix_frontiers(node: CotreeNode, fronts: list[_FrontierT], P: int, W: int) -> list[_FrontierT]:
+def _prefix_frontiers(node: CotreeNode, fronts: list[_FrontierT], region: tuple) -> list[_FrontierT]:
     """Frontiers of the left-fold prefixes of node's children, combining the
     children two at a time; the last is the frontier of node itself."""
     kind = "U" if isinstance(node, Union) else "J"
     prefixes = [fronts[0]]
     for f in fronts[1:]:
-        prefixes.append(_combine(kind, prefixes[-1], f, P, W))
+        prefixes.append(_combine(kind, prefixes[-1], f, region))
     return prefixes
 
 
@@ -265,11 +271,10 @@ def feasible_set(graph_or_tree, box) -> TripleSet:
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return TripleSet(box, (Triple(0, 0, 0),))
-    P = box.p
-    W = 2 * box.p + box.q + box.r
-    leaf = _leaf_frontier(P, W)
+    region = (box.p, box.p + box.q, box.p + box.r)
+    leaf = _leaf_frontier(region)
     work = _fold(tree, lambda _: leaf,
-                 lambda node, fronts: _prefix_frontiers(node, fronts, P, W)[-1])
+                 lambda node, fronts: _prefix_frontiers(node, fronts, region)[-1])
     frontier = tuple(
         Triple(a, b, c) for a, b, c in work
         if a <= box.p and b <= box.q and c <= box.r
@@ -412,12 +417,11 @@ def extract_certificate(graph_or_tree, triple) -> PartitionCertificate:
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return PartitionCertificate(t, ())
-    P = t.p
-    W = t.obstruction_weight()
+    region = (t.p, t.p + t.q, t.p + t.r)
     # bottom-up: per node, its prefix frontiers and its children's entries
-    leaf = ((_leaf_frontier(P, W),), ())
+    leaf = ((_leaf_frontier(region),), ())
     info = _fold(tree, lambda _: leaf, lambda node, kids: (
-        _prefix_frontiers(node, [k[0][-1] for k in kids], P, W), kids))
+        _prefix_frontiers(node, [k[0][-1] for k in kids], region), kids))
     if not any(t.dominates(Triple(*m)) for m in info[0][-1]):
         raise ValueError(f"no ({t.p}, {t.q}, {t.r})-partition exists")
 
@@ -484,21 +488,6 @@ def check_partition(graph, certificate, triple) -> bool:
 # -- derived parameters ------------------------------------------------
 
 
-def _doubling_min(tree: CotreeNode, first: int, last: int, make_box, pick) -> int:
-    """Least budget in [first, last] through the boxes first + 2^i - 1, capped
-    at last; the caller has proven make_box(last) feasible."""
-    step = 1
-    while True:
-        k = min(first + step - 1, last)
-        fs = feasible_set(tree, make_box(k))
-        if fs.frontier:
-            return min(pick(m) for m in fs.frontier)
-        if k >= last:
-            # a bracket's last box is feasible, so only a solver bug gets here
-            raise AssertionError("last box of the search came back empty")
-        step *= 2
-
-
 def vertex_arboricity(graph_or_tree) -> int:
     """Least p such that (p, 0, 0) is feasible.
 
@@ -510,8 +499,17 @@ def vertex_arboricity(graph_or_tree) -> int:
     if tree is None:
         return 0
     omega = chromatic_number(tree)
-    return _doubling_min(tree, (omega + 1) // 2, omega,
-                         lambda k: Triple(k, 0, 0), lambda m: m.p)
+    first = (omega + 1) // 2
+    step = 1
+    while True:
+        k = min(first + step - 1, omega)
+        frontier = feasible_set(tree, (k, 0, 0)).frontier
+        if frontier:
+            return min(m.p for m in frontier)
+        if k >= omega:
+            # (omega, 0, 0) is feasible, so only a solver bug gets here
+            raise AssertionError("last box of the search came back empty")
+        step *= 2
 
 
 def chromatic_number(graph_or_tree) -> int:
@@ -528,15 +526,14 @@ def chromatic_number(graph_or_tree) -> int:
 
 
 def min_deletions(graph_or_tree, p: int, q: int) -> int:
-    """Least r such that (p, q, r) is feasible."""
+    """Least r such that (p, q, r) is feasible: deleting every vertex is
+    always a partition, so the fold at the box (p, q, n) holds it."""
     if p < 0 or q < 0:
         raise ValueError("class budgets must be nonnegative")
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return 0
-    # deleting every vertex is always a partition
-    return _doubling_min(tree, 1, leaf_count(tree),
-                         lambda k: Triple(p, q, k), lambda m: m.r)
+    return min(m.r for m in feasible_set(tree, (p, q, leaf_count(tree))).frontier)
 
 
 def min_q_feedback(graph_or_tree) -> int:

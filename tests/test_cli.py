@@ -103,6 +103,8 @@ def test_mindel(capsys):
                           "--p", "0", "--q", "1")
     assert code == 0
     assert data == {"p": 0, "q": 1, "r": 2}
+    assert run_json(capsys, "mindel", "--dsl", "K(5)", "--p", "1000000000", "--q", "3") == \
+        (0, {"p": 1000000000, "q": 3, "r": 0})
 
 
 def test_empty_graph(capsys):

@@ -159,14 +159,20 @@ def test_upward_and_exchange_closures():
                 assert ts.contains((p, q + 1, r - 1))
 
 
+# the solver bounds p + q and p + r separately, which a box with Q = R cannot test
+UNEVEN_BOXES = ((0, 2, 5), (1, 0, 4), (2, 1, 0), (1, 3, 1), (3, 0, 2))
+
+
 def test_matches_oracle_exhaustively():
-    """Every cograph on up to 6 vertices, every triple in a (2,2,2) box."""
-    for n in range(1, 7):
+    """Every triple in a (2,2,2) box on every cograph with up to 6 vertices,
+    and in each uneven box on every cograph with up to 7 vertices."""
+    for n in range(1, 8):
         for t in enumerate_cographs(n):
             g = realize(t)
-            ts = feasible_set(t, (2, 2, 2))
-            for trip in product(range(3), repeat=3):
-                assert ts.contains(trip) == brute_force_partitionable(g, trip)
+            for box in ((2, 2, 2),) + UNEVEN_BOXES if n <= 6 else UNEVEN_BOXES:
+                ts = feasible_set(t, box)
+                for trip in product(*(range(k + 1) for k in box)):
+                    assert ts.contains(trip) == brute_force_partitionable(g, trip), (box, trip)
 
 
 def test_fold_order_independence():
@@ -223,6 +229,16 @@ def test_certificate_round_trip_random():
             assert cert.triple == target
 
 
+@pytest.mark.parametrize("p, q", [(0, 2), (1, 1), (2, 0)])
+def test_certificate_at_min_deletions(p, q):
+    """Certificates at the optimum of min_deletions, where r is large."""
+    rng = random.Random(41)
+    for _ in range(10):
+        t = random_cotree(rng.randint(50, 400), rng)
+        target = (p, q, min_deletions(t, p, q))
+        assert check_partition(realize(t), extract_certificate(t, target), target)
+
+
 def test_certificate_json_round_trip():
     cert = extract_certificate(C4_TREE, (0, 2, 0))
     data = cert.to_json()
@@ -276,6 +292,17 @@ def test_min_deletions():
     assert min_deletions(Graph.complete(6), 0, 2) == 4
     assert min_deletions(Graph.complete(6), 2, 0) == 2
     assert min_deletions(Graph(0), 0, 0) == 0
+    assert min_deletions(parse_expr("K(5)"), 10**9, 3) == 0
+
+
+def test_min_deletions_matches_oracle():
+    for n in range(1, 9):
+        for t in enumerate_cographs(n):
+            g = realize(t)
+            for p, q in product(range(3), repeat=2):
+                r = min_deletions(t, p, q)
+                assert brute_force_partitionable(g, (p, q, r))
+                assert r == 0 or not brute_force_partitionable(g, (p, q, r - 1)), (p, q, r)
 
 
 def test_min_q_feedback():
