@@ -129,16 +129,19 @@ class Graph:
     def induced_subgraph(self, vertices: Iterable[int]) -> Graph:
         """Induced subgraph on the given vertices, renumbered by ascending id."""
         keep = sorted(set(vertices))
+        keep_mask = 0
         for v in keep:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range")
+            keep_mask |= 1 << v
         index = {v: i for i, v in enumerate(keep)}
         rows = []
         for v in keep:
             row = 0
-            for u in iter_bits(self._rows[v]):
-                if u in index:
-                    row |= 1 << index[u]
+            # walk the row masked to the kept set: the work is the kept
+            # edges, not the degrees of the kept vertices
+            for u in iter_bits(self._rows[v] & keep_mask):
+                row |= 1 << index[u]
             rows.append(row)
         return Graph._unsafe(len(keep), tuple(rows))
 

@@ -25,10 +25,12 @@ It caps q at P + Q - p: at most (P + 1)(P + Q + 1) triples, whatever R is.
 """
 from __future__ import annotations
 
+import heapq
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 from .cotree import (
@@ -352,58 +354,72 @@ def _leaf_label(target: Triple) -> tuple[str, int]:
     raise AssertionError("leaf reached with an empty budget")
 
 
-def _merge(kind: str, splits: list, maps: tuple[dict, ...]) -> dict[int, tuple[str, int]]:
-    """Fuse the children's label maps left to right; splits[i] is the
+def _merge(kind: str, splits: list, maps: tuple[dict, ...]) -> dict[tuple[str, int], list[int]]:
+    """Fuse the children's class maps left to right; splits[i] is the
     (left, right, crossing) choice that joins child i to the ones before it."""
     merged = maps[0]
     for i in range(1, len(maps)):
         if kind == "U":
-            merged.update(maps[i])
+            small = maps[i]
+            if len(merged) < len(small):
+                merged, small = small, merged
+            for key, vs in small.items():
+                _pool(merged, key, vs)
         else:
             lm, rm, t = splits[i]
             merged = _merge_join(merged, lm, maps[i], rm, t)
     return merged
 
 
+def _pool(classes: dict, key: tuple[str, int], vs: list[int]) -> None:
+    """Add the vertices vs to class key, extending the shorter list into the longer."""
+    have = classes.get(key)
+    if have is None:
+        classes[key] = vs
+    elif len(have) >= len(vs):
+        have.extend(vs)
+    else:
+        vs.extend(have)
+        classes[key] = vs
+
+
 def _merge_join(left: dict, lm: Triple, right: dict, rm: Triple, t: int):
-    """Relabel and fuse the two sides of a join, forming t crossing stars."""
+    """Rename the classes of the two sides of a join and fuse them, forming t
+    crossing stars. Vertex lists move whole; only star centers leave the
+    deleted lists."""
     tu = min(t, lm.r, rm.q)
     td = t - tu
-    merged: dict[int, tuple[str, int]] = {}
-
-    left_deleted = sorted(v for v, (k, _) in left.items() if k == "R")
-    right_deleted = sorted(v for v, (k, _) in right.items() if k == "R")
-    ku = max(0, len(left_deleted) - (lm.r - tu))
-    kd = max(0, len(right_deleted) - (rm.r - td))
     star_base = lm.p + rm.p
-    # up-centered stars take their centers from the left deletion surplus and
-    # their leaves from the last tu independent classes of the right side
-    center_of: dict[int, int] = {}
-    for s, v in enumerate(left_deleted[:ku], start=1):
-        center_of[v] = star_base + s
-    for s, v in enumerate(right_deleted[:kd], start=1):
-        center_of[v] = star_base + tu + s
-
-    for v, (k, i) in left.items():
+    # up-centered stars take their leaves from the last tu independent classes
+    # of the right side, down-centered ones from the last td of the left side
+    merged: dict[tuple[str, int], list[int]] = {}
+    for (k, i), vs in left.items():
+        if k == "Q" and i > lm.q - td:
+            merged[("F", star_base + tu + (i - (lm.q - td)))] = vs
+        elif k != "R":
+            merged[(k, i)] = vs
+    for (k, i), vs in right.items():
         if k == "F":
-            merged[v] = (k, i)
-        elif k == "Q":
-            if i > lm.q - td:
-                merged[v] = ("F", star_base + tu + (i - (lm.q - td)))
-            else:
-                merged[v] = (k, i)
-        else:
-            merged[v] = ("F", center_of[v]) if v in center_of else ("R", 0)
-    for v, (k, i) in right.items():
-        if k == "F":
-            merged[v] = (k, lm.p + i)
+            merged[("F", lm.p + i)] = vs
         elif k == "Q":
             if i > rm.q - tu:
-                merged[v] = ("F", star_base + (i - (rm.q - tu)))
+                merged[("F", star_base + (i - (rm.q - tu)))] = vs
             else:
-                merged[v] = (k, lm.q - td + i)
-        else:
-            merged[v] = ("F", center_of[v]) if v in center_of else ("R", 0)
+                merged[("Q", lm.q - td + i)] = vs
+    # the centers are the smallest ids of each side's deletion surplus
+    for side, spare, base in ((left, lm.r - tu, star_base), (right, rm.r - td, star_base + tu)):
+        deleted = side.get(("R", 0))
+        if deleted is None:
+            continue
+        surplus = len(deleted) - spare
+        if surplus > 0:
+            centers = heapq.nsmallest(surplus, deleted)
+            for s, v in enumerate(centers, start=1):
+                _pool(merged, ("F", base + s), [v])
+            chosen = set(centers)
+            deleted = [v for v in deleted if v not in chosen]
+        if deleted:
+            _pool(merged, ("R", 0), deleted)
     return merged
 
 
@@ -411,7 +427,8 @@ def extract_certificate(graph_or_tree, triple) -> PartitionCertificate:
     """A concrete partition achieving triple, chosen deterministically.
 
     Raises:
-        ValueError: when triple is not feasible for the input.
+        ValueError: when triple is not feasible for the input, or when the
+            leaf ids of a cotree are not a bijection with 0..n-1.
     """
     t = as_triple(triple)
     tree = _coerce_tree(graph_or_tree)
@@ -429,7 +446,7 @@ def extract_certificate(graph_or_tree, triple) -> PartitionCertificate:
         """Split a node's target over its children, last child first."""
         node, (prefixes, kids), target = seed
         if isinstance(node, Leaf):
-            return {node.vertex: _leaf_label(target)}, ()
+            return {_leaf_label(target): [node.vertex]}, ()
         kind = "U" if isinstance(node, Union) else "J"
         targets = [target] * len(kids)
         splits = [None] * len(kids)
@@ -439,11 +456,15 @@ def extract_certificate(graph_or_tree, triple) -> PartitionCertificate:
         targets[0] = target
         return partial(_merge, kind, splits), list(zip(node.children, kids, targets))
 
-    assignment = _unfold((tree, info, t), expand)
-    labels = []
-    for v in range(leaf_count(tree)):
-        kind, idx = assignment[v]
-        labels.append("R" if kind == "R" else f"{kind}{idx}")
+    classes = _unfold((tree, info, t), expand)
+    ids = sorted(chain.from_iterable(classes.values()))
+    if ids != list(range(len(ids))):
+        raise ValueError("leaf ids are not a bijection with 0..n-1")
+    labels = [""] * len(ids)
+    for (kind, idx), vs in classes.items():
+        label = "R" if kind == "R" else f"{kind}{idx}"
+        for v in vs:
+            labels[v] = label
     return PartitionCertificate(t, tuple(labels))
 
 

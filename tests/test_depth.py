@@ -20,6 +20,7 @@ from cographpart import (
     leaf_count,
     leaves,
     max_join_children,
+    min_deletions,
     parse_expr,
     realize,
     recognize,
@@ -81,6 +82,16 @@ def test_caterpillar_recognize_and_certificate():
     triple = (0, 601, 0)
     cert = extract_certificate(tree, triple)
     assert check_partition(graph, cert, triple)
+
+
+def test_caterpillar_star_certificates():
+    """Certificates at the optimum of min_deletions: near the root of the
+    600-join chain, a star takes its center from about 600 deleted ids."""
+    tree = caterpillar(1200)
+    graph = realize(tree)
+    for p, q in ((1, 1), (2, 0)):
+        triple = (p, q, min_deletions(tree, p, q))
+        assert check_partition(graph, extract_certificate(tree, triple), triple)
 
 
 def test_wide_unions_certificate():

@@ -88,6 +88,18 @@ def test_induced_subgraph_relabels():
     assert g.induced_subgraph([]).n == 0
 
 
+def test_induced_subgraph_matches_networkx():
+    """Dense rows, kept sets in random order with repeats: the result is the
+    networkx subgraph renumbered by ascending id."""
+    rng = random.Random(59)
+    for _ in range(60):
+        n = rng.randint(1, 90)
+        g = random_graph(rng, n, rng.uniform(0.5, 0.95))
+        kept = rng.sample(range(n), rng.randint(0, n))
+        want = from_nx(to_nx(g).subgraph(kept))
+        assert g.induced_subgraph(kept + kept[: len(kept) // 3]) == want
+
+
 def test_component_masks():
     g = Graph.from_edge_list(6, [(0, 1), (2, 3), (3, 4)])
     masks = g.component_masks()

@@ -3,11 +3,13 @@ parameters."""
 import random
 from itertools import product
 
+import networkx as nx
 import pytest
 
 from cographpart import (
     Graph,
     Join,
+    Leaf,
     NotACographError,
     PartitionCertificate,
     Triple,
@@ -29,6 +31,8 @@ from cographpart import (
     realize,
     vertex_arboricity,
 )
+
+from conftest import from_nx, to_nx
 
 C4_TREE = parse_expr("C(U(2*K(2)))")
 C4 = realize(C4_TREE)
@@ -212,9 +216,31 @@ def test_certificate_two_forest_example():
     assert check_partition(realize(tree), cert, (2, 0, 0))
 
 
+@pytest.mark.parametrize("dsl, triple, labels", [
+    # the left prefix J(0, 1) deletes both vertices, one more than its budget
+    # after the star: vertex 0 centers the star on the right's Q class {2}
+    ("K(3)", (1, 0, 1), ("F1", "R", "F1")),
+    # the right side deletes 2 and 3 of its triangle, one more than its budget
+    # after the star: vertex 2 centers the star on the left's Q class {0}
+    ("J(K(1),U(K(1),K(3)))", (1, 1, 1), ("F1", "Q1", "F1", "R", "Q1")),
+    ("K(5)", (3, 0, 0), ("F1", "F2", "F1", "F2", "F3")),
+])
+def test_certificate_star_centers_pinned(dsl, triple, labels):
+    """Star centers are the smallest deleted ids of the surplus side; another
+    choice is still valid, so only exact labels see a change of choice."""
+    cert = extract_certificate(parse_expr(dsl), triple)
+    assert cert.labels == labels
+
+
 def test_certificate_infeasible_raises():
     with pytest.raises(ValueError):
         extract_certificate(C4_TREE, (0, 1, 0))
+
+
+def test_certificate_rejects_bad_leaf_ids():
+    for ids in ((0, 0), (-1, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            extract_certificate(Union((Leaf(ids[0]), Leaf(ids[1]))), (1, 0, 0))
 
 
 def test_certificate_round_trip_random():
@@ -260,6 +286,56 @@ def test_check_partition_judgements():
     assert check_partition(C4, ("F1", "F1", "F1", "R"), (1, 0, 1))
     # too many deletions
     assert not check_partition(C4, ("R", "R", "Q1", "Q1"), (0, 1, 1))
+
+
+def _labels_valid(g, labels, triple):
+    """Independent judgement of a labelling with networkx."""
+    p, q, r = triple
+    classes = {}
+    for v, label in enumerate(labels):
+        classes.setdefault(label, []).append(v)
+    nxg = to_nx(g)
+    for label, members in classes.items():
+        if label == "R":
+            if len(members) > r:
+                return False
+        elif label[0] == "F":
+            if int(label[1:]) > p or not nx.is_forest(nxg.subgraph(members)):
+                return False
+        elif int(label[1:]) > q or nxg.subgraph(members).number_of_edges():
+            return False
+    return True
+
+
+def test_check_partition_matches_networkx():
+    """Random labellings over F1-F3, Q1-Q2 and R, on cographs and on other
+    graphs. On cographs every other labelling is a certificate with one vertex
+    moved, and each budget is the labelling's own need with one part nudged,
+    so near misses of every kind are common."""
+    rng = random.Random(53)
+    kinds = ("F1", "F2", "F3", "Q1", "Q2", "R")
+    verdicts = []
+    for trial in range(300):
+        n = rng.randint(8, 60)
+        if trial % 2:
+            tree = random_cotree(n, rng)
+            g = realize(tree)
+        else:
+            tree = None
+            g = from_nx(nx.gnp_random_graph(n, rng.uniform(0.02, 0.2), seed=rng.randrange(1 << 30)))
+        if tree is not None and trial % 4 == 1:
+            labels = list(extract_certificate(tree, (3, 2, min_deletions(tree, 3, 2))).labels)
+        else:
+            labels = [rng.choice(kinds) for _ in range(n)]
+        labels[rng.randrange(n)] = rng.choice(kinds)
+        need = [max([int(x[1:]) for x in labels if x[0] == k], default=0) for k in "FQ"]
+        triple = [*need, labels.count("R")]
+        triple[rng.randrange(3)] += rng.choice((-1, 0, 0, 1))
+        triple = tuple(max(0, x) for x in triple)
+        want = _labels_valid(g, labels, triple)
+        assert check_partition(g, labels, triple) == want, (g.to_graph6(), labels, triple)
+        verdicts.append(want)
+    assert 30 <= sum(verdicts) <= 270
 
 
 def test_check_partition_malformed():
