@@ -18,7 +18,9 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import count
+from operator import itemgetter
 
 from .graph import Graph, iter_bits
 
@@ -371,15 +373,36 @@ def recognize(graph: Graph) -> CotreeNode | None:
 
 
 def _delete_leaf(tree: CotreeNode, vertex: int) -> CotreeNode | None:
-    """Normalized cotree of the graph without vertex, None when no vertex is
-    left; the other leaves keep their ids."""
-    def node(n: CotreeNode, kids: list) -> CotreeNode:
-        # at most one child lost its leaf; union_of/join_of lift a lone
-        # remaining child, and flatten it when it now matches its parent
-        return (union_of if isinstance(n, Union) else join_of)(
-            [k for k in kids if k is not None])
+    """Cotree of the graph without vertex, None when no vertex is left.
 
-    return _fold(tree, lambda leaf: None if leaf.vertex == vertex else leaf, node)
+    The result is the tree recognize builds for the induced subgraph: it is
+    normalized, each node's children are ordered by their least leaf, and
+    every leaf id above vertex is one lower.
+    """
+    # a subtree's value is (least leaf, node, the values of its children)
+    def leaf(l: Leaf):
+        v = l.vertex - (l.vertex > vertex)
+        return None if l.vertex == vertex else (v, Leaf(v), ())
+
+    def node(n: CotreeNode, kids: list):
+        # a lone remaining child is lifted; a child of n's own kind, such as
+        # one lifted from below, has its children spliced into n
+        if None in kids:
+            kids.remove(None)
+        if len(kids) <= 1:
+            return kids[0] if kids else None
+        kind = type(n)
+        parts = []
+        for k in kids:
+            if type(k[1]) is kind:
+                parts += k[2]
+            else:
+                parts.append(k)
+        parts.sort(key=itemgetter(0))
+        return parts[0][0], kind(tuple([part[1] for part in parts])), parts
+
+    rest = _fold(tree, leaf, node)
+    return None if rest is None else rest[1]
 
 
 def _coerce_tree(graph_or_tree) -> CotreeNode | None:
@@ -425,59 +448,20 @@ def _multisets(total: int, pool: list[tuple[int, CotreeNode]]):
     yield from rec(total, 0)
 
 
-class _Enumerator:
-    """Generates one cotree per cograph isomorphism class, by vertex count."""
-
-    def __init__(self):
-        self._connected: dict[int, list[tuple[bytes, CotreeNode]]] = {}
-        self._coconnected: dict[int, list[tuple[bytes, CotreeNode]]] = {}
-
-    def connected(self, n: int) -> list[tuple[bytes, CotreeNode]]:
-        # root is a Leaf or Join
-        if n not in self._connected:
-            if n == 1:
-                out = [(b"L", Leaf(0))]
-            else:
-                pool = self._pool(n, self.coconnected)
-                out = []
-                for kids in _multisets(n, pool):
-                    tree = Join(kids)
-                    out.append((canonical_code(tree), tree))
-                out.sort(key=lambda item: item[0])
-            self._connected[n] = out
-        return self._connected[n]
-
-    def coconnected(self, n: int) -> list[tuple[bytes, CotreeNode]]:
-        # root is a Leaf or Union
-        if n not in self._coconnected:
-            if n == 1:
-                out = [(b"L", Leaf(0))]
-            else:
-                out = [
-                    (canonical_code(t), t)
-                    for t in (Union(tuple(complement_tree(c) for c in tree.children))
-                              for _, tree in self.connected(n))
-                ]
-                out.sort(key=lambda item: item[0])
-            self._coconnected[n] = out
-        return self._coconnected[n]
-
-    def _pool(self, n: int, source) -> list[tuple[int, CotreeNode]]:
-        pool = []
-        for size in range(1, n):
-            pool.extend((size, tree) for _, tree in source(size))
-        return pool
-
-    def all_trees(self, n: int) -> Iterator[CotreeNode]:
-        for _, tree in self.connected(n):
-            yield tree
-        if n >= 2:
-            for _, tree in self.coconnected(n):
-                if not isinstance(tree, Leaf):
-                    yield tree
-
-
-_SHARED_ENUMERATOR = _Enumerator()
+@cache
+def _rooted(n: int, join: bool) -> list[tuple[bytes, CotreeNode]]:
+    """(canonical code, tree) for one cotree per cograph on n vertices whose
+    root is a Join (join=True) or a Union (join=False), sorted by code; n = 1
+    gives the lone Leaf either way. The lists live for the whole process."""
+    if n == 1:
+        return [(b"L", Leaf(0))]
+    if join:
+        pool = [(size, tree) for size in range(1, n) for _, tree in _rooted(size, False)]
+        trees = map(Join, _multisets(n, pool))
+    else:
+        trees = (Union(tuple(complement_tree(c) for c in tree.children))
+                 for _, tree in _rooted(n, True))
+    return sorted(((canonical_code(t), t) for t in trees), key=itemgetter(0))
 
 
 def enumerate_cographs(n: int) -> Iterator[CotreeNode]:
@@ -489,12 +473,13 @@ def enumerate_cographs(n: int) -> Iterator[CotreeNode]:
     """
     if n < 1:
         raise ValueError("enumeration needs n >= 1")
-    for tree in _SHARED_ENUMERATOR.all_trees(n):
-        yield relabel(tree)
+    for join in (True, False) if n >= 2 else (True,):
+        for _, tree in _rooted(n, join):
+            yield relabel(tree)
 
 
 def count_cographs(n: int) -> int:
-    return sum(1 for _ in _SHARED_ENUMERATOR.all_trees(n))
+    return len(_rooted(n, True)) + (len(_rooted(n, False)) if n >= 2 else 0)
 
 
 # -- random generation -------------------------------------------------

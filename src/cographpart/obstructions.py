@@ -16,16 +16,16 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .cotree import (
     CotreeNode, Leaf, _as_graph, _coerce_tree, _delete_leaf, _fold, canonical_code,
     complement_tree, enumerate_cographs, join_of, leaf_count, parse_expr, realize,
-    recognize, relabel, to_expr, union_of,
+    relabel, to_expr, union_of,
 )
 from .graph import Graph, iter_bits
 from .solver import Triple, as_triple, chromatic_number, extract_certificate, feasible_set
@@ -216,13 +216,13 @@ def build_H(g1, g2, p: int) -> CotreeNode:
     """
     if p < 1:
         raise ValueError("requires p >= 1")
+    goal_t = (Triple(p, 0, 0),)
     trees = []
     for which, g in (("first", g1), ("second", g2)):
         tree = _coerce_tree(g)
         if tree is None:
             raise ValueError(f"{which} input is empty")
-        report = is_minimal_obstruction(tree, Triple(p, 0, 0))
-        if not report.is_minimal:
+        if not _is_minimal(tree, goal_t):
             raise ValueError(
                 f"{which} input is not a minimal obstruction for ({p}, 0, 0)")
         chi = chromatic_number(tree)
@@ -300,49 +300,73 @@ def _normalize_goal(goal) -> tuple[Triple, ...]:
     return tuple(triples)
 
 
+def _first_feasible(tree: CotreeNode | None, goal_t: tuple[Triple, ...]) -> Triple | None:
+    """The first goal triple that tree admits, None when it admits none; one
+    fold at the least box that holds every goal triple decides them all."""
+    fs = feasible_set(tree, Triple(*map(max, zip(*goal_t))))
+    return next((t for t in goal_t if fs.contains(t)), None)
+
+
+def _failing_vertex(tree: CotreeNode, goal_t: tuple[Triple, ...]) -> int | None:
+    """The least vertex whose deletion admits no goal triple, None when none does.
+
+    Sibling leaves are twins, so deleting any one of them leaves the same
+    graph up to isomorphism. Only the least leaf of each sibling set is
+    tested, and the sets are tried in ascending order of that leaf.
+    """
+    least = [tree.vertex] if isinstance(tree, Leaf) else []
+
+    def node(n: CotreeNode, _) -> None:
+        siblings = [c.vertex for c in n.children if isinstance(c, Leaf)]
+        if siblings:
+            least.append(min(siblings))
+
+    _fold(tree, lambda _: None, node)
+    return next((v for v in sorted(least)
+                 if _first_feasible(_delete_leaf(tree, v), goal_t) is None), None)
+
+
+def _is_minimal(tree: CotreeNode, goal_t: tuple[Triple, ...]) -> bool:
+    """True when tree is a minimal obstruction for the goal, decided on the cotree."""
+    return _first_feasible(tree, goal_t) is None and _failing_vertex(tree, goal_t) is None
+
+
 def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
     """Evaluate both obstruction conditions and collect witnesses.
 
     Condition one: the graph is partitionable for no goal triple. Condition
     two: each one-vertex deletion is partitionable for some goal triple;
-    deleted subgraphs are recognized from scratch. A failed first condition
-    reports a counterexample certificate; a passing second condition
-    reports one witness certificate per vertex, labels carried against the
-    original vertex ids.
+    deletions are taken on the cotree, which yields the same tree as
+    recognizing the induced subgraph. A failed first condition reports a
+    counterexample certificate, a failed second one the least failing
+    vertex, and a passing second condition one witness certificate per
+    vertex, labels carried against the original vertex ids.
     """
     goal_t = _normalize_goal(goal)
     tree = _coerce_tree(graph_or_tree)
-    box = Triple(max(t.p for t in goal_t), max(t.q for t in goal_t),
-                 max(t.r for t in goal_t))
     if tree is None:
         return ObstructionReport(
             dsl="", graph6=Graph(0).to_graph6(), goal=goal_t,
             is_obstruction=False, is_minimal=False,
             counterexample=FeasibleWitness(goal_t[0], ()))
     graph = realize(tree)
-    dsl = to_expr(tree)
-    fs = feasible_set(tree, box)
-    for t in goal_t:
-        if fs.contains(t):
-            cert = extract_certificate(tree, t)
-            return ObstructionReport(
-                dsl=dsl, graph6=graph.to_graph6(), goal=goal_t,
-                is_obstruction=False, is_minimal=False,
-                counterexample=FeasibleWitness(t, cert.labels))
+    report = partial(ObstructionReport, dsl=to_expr(tree), graph6=graph.to_graph6(), goal=goal_t)
+    t = _first_feasible(tree, goal_t)
+    if t is not None:
+        cert = extract_certificate(tree, t)
+        return report(is_obstruction=False, is_minimal=False,
+                      counterexample=FeasibleWitness(t, cert.labels))
+    v = _failing_vertex(tree, goal_t)
+    if v is not None:
+        return report(is_obstruction=True, is_minimal=False, failing_vertex=v)
     witnesses = []
     for v in range(graph.n):
         rest = [u for u in range(graph.n) if u != v]
-        subtree = recognize(graph.induced_subgraph(rest))
-        found = next((t for t in goal_t if feasible_set(subtree, t).contains(t)), None)
-        if found is None:
-            return ObstructionReport(
-                dsl=dsl, graph6=graph.to_graph6(), goal=goal_t,
-                is_obstruction=True, is_minimal=False, failing_vertex=v)
+        subtree = _delete_leaf(tree, v)
+        found = _first_feasible(subtree, goal_t)
         labels = extract_certificate(subtree, found).labels
         witnesses.append(DeletionWitness(v, found, tuple(zip(rest, labels))))
-    return ObstructionReport(
-        dsl=dsl, graph6=graph.to_graph6(), goal=goal_t,
-        is_obstruction=True, is_minimal=True, witnesses=tuple(witnesses))
+    return report(is_obstruction=True, is_minimal=True, witnesses=tuple(witnesses))
 
 
 # -- induced containment -----------------------------------------------
@@ -417,47 +441,12 @@ def is_family_free(graph, family) -> bool:
 # -- exhaustive search -------------------------------------------------
 
 
-def _twin_representatives(tree: CotreeNode) -> list[int]:
-    """One vertex per set of sibling leaves. Sibling leaves are twins, so
-    deleting any one of them leaves the same graph up to isomorphism."""
-    if isinstance(tree, Leaf):
-        return [tree.vertex]
-    picks: list[int] = []
-
-    def node(n: CotreeNode, _) -> None:
-        leaf = next((c for c in n.children if isinstance(c, Leaf)), None)
-        if leaf is not None:
-            picks.append(leaf.vertex)
-
-    _fold(tree, lambda _: None, node)
-    return picks
-
-
-def _feasible(tree: CotreeNode | None, goal_t: tuple[Triple, ...], box: Triple) -> bool:
-    fs = feasible_set(tree, box)
-    return any(fs.contains(t) for t in goal_t)
-
-
-def _minimal_report(tree: CotreeNode, goal_t: tuple[Triple, ...], box: Triple) -> ObstructionReport | None:
-    """The report on tree when it is a minimal obstruction, else None.
-
-    The one-vertex deletions are tested on the cotree first, so only minimal
-    obstructions pay for is_minimal_obstruction's graphs and witnesses.
-    """
-    if _feasible(tree, goal_t, box):
-        return None
-    if not all(_feasible(_delete_leaf(tree, v), goal_t, box) for v in _twin_representatives(tree)):
-        return None
-    return is_minimal_obstruction(tree, goal_t)
-
-
 def _search_chunk(args: tuple[list[CotreeNode], tuple[Triple, ...]]):
-    """Minimal obstructions among trees, each with its sort key."""
+    """Minimal obstructions among trees, each with its sort key. The test on
+    the cotree comes first, so only minimal obstructions pay for a report."""
     trees, goal_t = args
-    box = Triple(max(t.p for t in goal_t), max(t.q for t in goal_t),
-                 max(t.r for t in goal_t))
-    return [((leaf_count(tree), canonical_code(tree)), rep) for tree in trees
-            if (rep := _minimal_report(tree, goal_t, box)) is not None]
+    return [((leaf_count(tree), canonical_code(tree)), is_minimal_obstruction(tree, goal_t))
+            for tree in trees if _is_minimal(tree, goal_t)]
 
 
 def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[ObstructionReport]:
@@ -477,6 +466,7 @@ def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[Obstruc
     if jobs <= 1:
         found = [item for chunk in chunks for item in _search_chunk(chunk)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel searches pay for it
         found = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # a few chunks in flight per worker, so that the cotrees of the

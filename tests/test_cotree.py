@@ -1,5 +1,6 @@
 """Tests for cotree construction, the expression language, recognition
 and enumeration."""
+import hashlib
 import random
 import re
 
@@ -249,22 +250,72 @@ def test_enumerate_counts():
     assert all(leaf_count(t) == 7 for t in trees)
 
 
+def shape(tree):
+    """Node types, child order and leaf ids of a cotree, as nested tuples."""
+    if tree is None:
+        return None
+    if isinstance(tree, Leaf):
+        return tree.vertex
+    return type(tree).__name__, tuple(shape(c) for c in tree.children)
+
+
+def scrambled(tree, rng):
+    """Copy of tree with its leaf ids permuted and every child list shuffled."""
+    perm = list(range(leaf_count(tree)))
+    rng.shuffle(perm)
+
+    def build(node):
+        if isinstance(node, Leaf):
+            return Leaf(perm[node.vertex])
+        kids = [build(c) for c in node.children]
+        rng.shuffle(kids)
+        return type(node)(tuple(kids))
+
+    return build(tree)
+
+
+def assert_deletions_match_recognize(tree):
+    graph = realize(tree)
+    for v in range(graph.n):
+        rest = [u for u in range(graph.n) if u != v]
+        got = _delete_leaf(tree, v)
+        assert shape(got) == shape(recognize(graph.induced_subgraph(rest)))
+        if got is not None:
+            assert_normalized(got)
+
+
 def test_delete_leaf_matches_recognize():
-    """Deleting a leaf on the cotree gives the normalized cotree that
-    recognize finds for the induced subgraph, with the other ids kept."""
+    """Deleting a leaf on the cotree builds exactly the tree that recognize
+    finds for the induced subgraph: the same node types, child order and
+    leaf ids, not only the same canonical code."""
     for n in range(1, 9):
         for tree in enumerate_cographs(n):
-            graph = realize(tree)
-            for v in range(n):
-                rest = [u for u in range(n) if u != v]
-                got = _delete_leaf(tree, v)
-                want = recognize(graph.induced_subgraph(rest))
-                if n == 1:
-                    assert got is None and want is None
-                    continue
-                assert canonical_code(got) == canonical_code(want)
-                assert sorted(leaves(got)) == rest
-                assert_normalized(got)
+            assert_deletions_match_recognize(tree)
+
+
+def test_delete_leaf_matches_recognize_scrambled():
+    """The same on random cotrees whose leaf ids and child order are not the
+    left-to-right ones that enumeration and parsing give."""
+    rng = random.Random(97)
+    for _ in range(200):
+        assert_deletions_match_recognize(scrambled(random_cotree(rng.randrange(9, 41), rng), rng))
+
+
+def test_enumerate_order_pinned():
+    """Search reports and the enumerate command list cographs in this order."""
+    assert [to_expr(t) for t in enumerate_cographs(5)] == [
+        "K(5)", "J(K(1),K(1),K(1),I(2))", "J(K(1),K(1),U(K(1),K(2)))", "J(K(1),K(1),I(3))",
+        "J(K(1),2*K(2))", "J(K(1),U(2*K(1),K(2)))", "J(K(1),U(K(1),K(3)))",
+        "J(K(1),U(K(1),J(K(1),I(2))))", "J(K(1),I(2),I(2))", "J(K(1),I(4))",
+        "J(I(2),U(K(1),K(2)))", "J(I(2),I(3))", "U(K(1),2*K(2))", "U(K(2),K(3))",
+        "U(K(2),J(K(1),I(2)))", "U(3*K(1),K(2))", "U(2*K(1),K(3))", "U(K(1),K(4))",
+        "U(K(1),J(K(1),K(1),I(2)))", "U(K(1),J(K(1),U(K(1),K(2))))", "U(2*K(1),J(K(1),I(2)))",
+        "U(K(1),J(K(1),I(3)))", "U(K(1),J(I(2),I(2)))", "I(5)"]
+    digest = hashlib.sha256()
+    for n in range(1, 10):
+        for t in enumerate_cographs(n):
+            digest.update(f"{to_expr(t)} {list(leaves(t))}\n".encode())
+    assert digest.hexdigest() == "e0e0708302633bae349c0b34c8e85627e452517d4cdbe8e0aebf3e38cda087a3"
 
 
 def test_enumerate_matches_atlas(atlas):

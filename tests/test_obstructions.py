@@ -1,4 +1,5 @@
 """Tests for obstruction families, the minimality checker and search."""
+import concurrent.futures
 import os
 import random
 from concurrent.futures import Future
@@ -31,12 +32,12 @@ from cographpart import (
     leaf_count,
     parse_expr,
     realize,
+    recognize,
     search_minimal_obstructions,
     star_forests,
     to_expr,
     vertex_arboricity,
 )
-from cographpart import obstructions
 
 from conftest import to_nx
 
@@ -244,6 +245,28 @@ def test_is_minimal_obstruction_ifvs():
         assert report.is_minimal
 
 
+@pytest.mark.parametrize("goal", [
+    [Triple(2, 0, 0)], [Triple(1, 1, 0)], [Triple(0, 2, 1), Triple(0, 1, 2)]])
+def test_failing_vertex_is_least(goal):
+    """failing_vertex is the least vertex whose induced subgraph, recognized
+    from the graph, is infeasible for every goal triple; there is none
+    exactly when the obstruction is minimal."""
+    seen = 0
+    for n in range(1, 8):
+        for tree in enumerate_cographs(n):
+            report = is_minimal_obstruction(tree, goal)
+            if not report.is_obstruction:
+                continue
+            seen += 1
+            graph = realize(tree)
+            failing = [v for v in range(n) if not any(
+                is_partitionable(recognize(graph.induced_subgraph(
+                    [u for u in range(n) if u != v])), t) for t in goal)]
+            assert report.failing_vertex == (failing[0] if failing else None)
+            assert report.is_minimal == (not failing)
+    assert seen
+
+
 def test_goal_set_normalization():
     report = is_minimal_obstruction(parse_expr("K(5)"),
                                     [(2, 0, 0), (2, 0, 0), Triple(2, 0, 0)])
@@ -374,7 +397,7 @@ def test_search_caps_jobs_at_cpu_count(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(obstructions, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     capped = search_minimal_obstructions(6, Triple(2, 0, 0), jobs=10**6)
     cpus = os.cpu_count() or 1
     assert workers == ([] if cpus == 1 else [cpus])
