@@ -2,10 +2,12 @@
 
 Every subcommand prints one JSON payload to stdout (or JSON lines for
 streaming commands), switchable to aligned text with --human. Exit codes:
-0 for success or a positive verdict, 1 for a negative verdict, 2 for input
-errors, including non-cograph inputs where a cotree is required (the
-payload then carries a path witness on four vertices) and inputs too large
-to process.
+0 for success or a positive verdict, 1 for a negative verdict, 2 for every
+failure: input errors, including non-cograph inputs where a cotree is
+required (the payload then carries a path witness on four vertices), inputs
+too large to process, and internal errors. A failure prints one JSON line
+with an "error" key; `main` alone maps exceptions to it. Usage errors exit
+2 from argparse, with the message on stderr.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 
 from .cotree import (
     NotACographError, count_cographs, enumerate_cographs,
@@ -32,65 +35,41 @@ from .solver import (
 from .strength import strength_profile
 
 
-class InputError(Exception):
-    def __init__(self, payload: dict):
-        super().__init__(payload.get("error", "input error"))
-        self.payload = payload
-
-
-def _fail(message: str, **extra) -> InputError:
-    return InputError({"error": message, **extra})
-
-
 _TRIPLE_RE = re.compile(r"\(?\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)?")
 
 
 def _parse_triple(text: str) -> Triple:
     m = _TRIPLE_RE.fullmatch(text.strip())
     if not m:
-        raise _fail(f"expected p,q,r with nonnegative integers, got {text!r}")
+        raise ValueError(f"expected p,q,r with nonnegative integers, got {text!r}")
     return Triple(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
 def _parse_goal(text: str) -> tuple[Triple, ...]:
     found = [Triple(int(a), int(b), int(c)) for a, b, c in _TRIPLE_RE.findall(text)]
     if not found:
-        raise _fail(f"no triples found in goal {text!r}")
+        raise ValueError(f"no triples found in goal {text!r}")
     return tuple(sorted(set(found)))
 
 
 def _load_graph(args) -> Graph:
     if getattr(args, "dsl", None) is not None:
-        try:
-            return realize(parse_expr(args.dsl))
-        except ValueError as exc:
-            raise _fail(str(exc))
+        return realize(parse_expr(args.dsl))
     if args.graph6 is not None:
-        try:
-            return Graph.from_graph6(args.graph6)
-        except ValueError as exc:
-            raise _fail(str(exc))
+        return Graph.from_graph6(args.graph6)
     try:
         with open(args.edges, "r", encoding="ascii") as fh:
-            return Graph.from_edge_list_text(fh.read())
+            text = fh.read()
     except OSError as exc:
-        raise _fail(f"cannot read {args.edges}: {exc.strerror}")
-    except ValueError as exc:
-        raise _fail(str(exc))
+        raise ValueError(f"cannot read {args.edges}: {exc.strerror}") from exc
+    return Graph.from_edge_list_text(text)
 
 
 def _load_tree(args):
     """Cotree from --dsl directly, else by recognizing the input graph."""
     if args.dsl is not None:
-        try:
-            return parse_expr(args.dsl)
-        except ValueError as exc:
-            raise _fail(str(exc))
-    graph = _load_graph(args)
-    try:
-        return recognize(graph)
-    except NotACographError as exc:
-        raise _fail("input graph is not a cograph", p4=list(exc.witness))
+        return parse_expr(args.dsl)
+    return recognize(_load_graph(args))
 
 
 def _emit(args, payload: dict) -> None:
@@ -131,11 +110,7 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    try:
-        tree = parse_expr(args.dsl)
-    except ValueError as exc:
-        raise _fail(str(exc))
-    graph = realize(tree)
+    graph = realize(parse_expr(args.dsl))
     _emit(args, {"n": graph.n, "graph6": graph.to_graph6(),
                  "edges": [list(e) for e in graph.edges()]})
     return 0
@@ -157,15 +132,8 @@ def _cmd_frontier(args) -> int:
     return 0
 
 
-def _cmd_arboricity(args) -> int:
-    tree = _load_tree(args)
-    _emit(args, {"rho": vertex_arboricity(tree)})
-    return 0
-
-
-def _cmd_chromatic(args) -> int:
-    tree = _load_tree(args)
-    _emit(args, {"chi": chromatic_number(tree)})
+def _cmd_query(query, args) -> int:
+    _emit(args, query(_load_tree(args)))
     return 0
 
 
@@ -173,20 +141,6 @@ def _cmd_mindel(args) -> int:
     tree = _load_tree(args)
     r = min_deletions(tree, args.p, args.q)
     _emit(args, {"p": args.p, "q": args.q, "r": r})
-    return 0
-
-
-def _cmd_ifvs_q(args) -> int:
-    tree = _load_tree(args)
-    _emit(args, {"q": min_q_feedback(tree)})
-    return 0
-
-
-def _cmd_strength(args) -> int:
-    tree = _load_tree(args)
-    profile = strength_profile(tree)
-    _emit(args, {"omega": profile.omega, "tau": profile.tau,
-                 "strength": profile.strength})
     return 0
 
 
@@ -211,16 +165,16 @@ def _cmd_check(args) -> int:
         cert = PartitionCertificate.from_json(data, triple)
         valid = check_partition(graph, cert, triple)
     except OSError as exc:
-        raise _fail(f"cannot read {args.certificate}: {exc.strerror}")
+        raise ValueError(f"cannot read {args.certificate}: {exc.strerror}") from exc
     except (ValueError, KeyError, TypeError) as exc:
-        raise _fail(f"malformed certificate: {exc}")
+        raise ValueError(f"malformed certificate: {exc}") from exc
     _emit(args, {"valid": valid})
     return 0 if valid else 1
 
 
 def _cmd_enumerate(args) -> int:
     if args.n < 1:
-        raise _fail("--n must be at least 1")
+        raise ValueError("--n must be at least 1")
     if args.count_only:
         _emit(args, {"n": args.n, "count": count_cographs(args.n)})
         return 0
@@ -237,10 +191,7 @@ def _cmd_oracle(args) -> int:
     triple = _parse_triple(args.triple)
     budget = OracleBudget(max_vertices=args.max_vertices,
                           max_assignments=args.max_assignments)
-    try:
-        feasible = brute_force_partitionable(graph, triple, budget)
-    except OracleBudgetExceeded as exc:
-        raise _fail(str(exc))
+    feasible = brute_force_partitionable(graph, triple, budget)
     _emit(args, {"feasible": feasible, "triple": list(triple)})
     return 0 if feasible else 1
 
@@ -262,7 +213,7 @@ def _cmd_obstructions_check(args) -> int:
     tree = _load_tree(args)
     goal = _parse_goal(args.goal)
     if tree is None:
-        raise _fail("cannot check the empty graph")
+        raise ValueError("cannot check the empty graph")
     report = is_minimal_obstruction(tree, goal)
     _emit(args, report.to_json())
     return 0 if report.is_minimal else 1
@@ -270,7 +221,7 @@ def _cmd_obstructions_check(args) -> int:
 
 def _cmd_obstructions_search(args) -> int:
     if args.n < 1:
-        raise _fail("--n must be at least 1")
+        raise ValueError("--n must be at least 1")
     goal = _parse_goal(args.goal)
     reports = search_minimal_obstructions(args.n, goal, jobs=args.jobs)
     for report in reports:
@@ -280,7 +231,7 @@ def _cmd_obstructions_search(args) -> int:
 
 def _cmd_obstructions_count(args) -> int:
     if args.p < 2 or not 0 <= args.i <= args.p:
-        raise _fail("requires p >= 2 and 0 <= i <= p")
+        raise ValueError("requires p >= 2 and 0 <= i <= p")
     rep = count_Oi_report(args.p, args.i)
     _emit(args, {"p": rep.p, "i": rep.i, "distinct": rep.distinct,
                  "multiset_count": rep.multiset_count,
@@ -292,13 +243,12 @@ def _cmd_obstructions_count(args) -> int:
 # -- parser wiring -----------------------------------------------------
 
 
-def _add_graph_input(sub, *, dsl=True, graph=True) -> None:
+def _add_graph_input(sub, *, dsl=True) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     if dsl:
         group.add_argument("--dsl", help="cotree expression, e.g. J(U(2*K(3)),I(2))")
-    if graph:
-        group.add_argument("--graph6", help="graph6 string")
-        group.add_argument("--edges", help="edge list file: first line n, then one 'u v' per line")
+    group.add_argument("--graph6", help="graph6 string")
+    group.add_argument("--edges", help="edge list file: first line n, then one 'u v' per line")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,14 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--box", required=True, metavar="P,Q,R")
     s.set_defaults(func=_cmd_frontier)
 
-    for name, handler, description in (
-            ("arboricity", _cmd_arboricity, "fewest forest classes covering the graph"),
-            ("chromatic", _cmd_chromatic, "fewest independent classes covering the graph"),
-            ("ifvs-q", _cmd_ifvs_q, "fewest independent classes next to one forest class"),
-            ("strength", _cmd_strength, "clique number, cocktail pairs, and strength")):
+    for name, query, description in (
+            ("arboricity", lambda t: {"rho": vertex_arboricity(t)},
+             "fewest forest classes covering the graph"),
+            ("chromatic", lambda t: {"chi": chromatic_number(t)},
+             "fewest independent classes covering the graph"),
+            ("ifvs-q", lambda t: {"q": min_q_feedback(t)},
+             "fewest independent classes next to one forest class"),
+            ("strength", lambda t: strength_profile(t)._asdict(),
+             "clique number, cocktail pairs, and strength")):
         s = sub.add_parser(name, parents=[common], help=description)
         _add_graph_input(s)
-        s.set_defaults(func=handler)
+        s.set_defaults(func=partial(_cmd_query, query))
 
     s = sub.add_parser("mindel", parents=[common], help="fewest deletions for fixed class budgets")
     _add_graph_input(s)
@@ -400,16 +354,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(json.dumps(exc.payload))
-        return 2
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 2
+    except NotACographError as exc:
+        error = {"error": "input graph is not a cograph", "p4": list(exc.witness)}
+    except (ValueError, OracleBudgetExceeded) as exc:
+        error = {"error": str(exc)}
     except (RecursionError, MemoryError) as exc:
-        # exit 1 means a negative verdict, so a crash must not end with it
-        print(json.dumps({"error": f"input too large to process ({type(exc).__name__})"}))
-        return 2
+        error = {"error": f"input too large to process ({type(exc).__name__})"}
+    except Exception as exc:
+        import traceback  # only a failing run pays for the import
+        traceback.print_exc()
+        error = {"error": f"internal error ({type(exc).__name__}): {exc}"}
+    # exit 1 means a negative verdict, so no failure may end with it
+    print(json.dumps(error))
+    return 2
 
 
 if __name__ == "__main__":

@@ -180,26 +180,12 @@ class Graph:
     def is_independent(self) -> bool:
         return all(row == 0 for row in self._rows)
 
-    def is_forest(self) -> bool:
-        """True iff the graph is acyclic, by iterative DFS."""
-        visited = 0
-        for s in range(self.n):
-            if visited >> s & 1:
-                continue
-            visited |= 1 << s
-            stack = [(s, -1)]
-            while stack:
-                v, parent = stack.pop()
-                skipped_parent = False
-                for u in iter_bits(self._rows[v]):
-                    if u == parent and not skipped_parent:
-                        skipped_parent = True
-                        continue
-                    if visited >> u & 1:
-                        return False
-                    visited |= 1 << u
-                    stack.append((u, v))
-        return True
+    def is_forest(self, within: int | None = None) -> bool:
+        """True iff the graph (or the subgraph induced by the vertex bitmask
+        within) is acyclic: a forest has |V| minus its component count edges."""
+        scope = (1 << self.n) - 1 if within is None else within
+        edges = sum((self._rows[v] & scope).bit_count() for v in iter_bits(scope)) // 2
+        return edges == scope.bit_count() - len(self.component_masks(scope))
 
     # -- graph6 --------------------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .cotree import (
     CotreeNode, Leaf, _as_graph, _coerce_tree, _delete_leaf, _fold, canonical_code,
-    complement_tree, enumerate_cographs, join_of, leaf_count, parse_expr, realize,
+    complement_tree, enumerate_cographs, join_of, parse_expr, realize,
     relabel, to_expr, union_of,
 )
 from .graph import Graph, iter_bits
@@ -442,19 +442,19 @@ def is_family_free(graph, family) -> bool:
 
 
 def _search_chunk(args: tuple[list[CotreeNode], tuple[Triple, ...]]):
-    """Minimal obstructions among trees, each with its sort key. The test on
-    the cotree comes first, so only minimal obstructions pay for a report."""
+    """Minimal obstructions among trees, in order. The test on the cotree
+    comes first, so only minimal obstructions pay for a report."""
     trees, goal_t = args
-    return [((leaf_count(tree), canonical_code(tree)), is_minimal_obstruction(tree, goal_t))
-            for tree in trees if _is_minimal(tree, goal_t)]
+    return [is_minimal_obstruction(tree, goal_t) for tree in trees if _is_minimal(tree, goal_t)]
 
 
 def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[ObstructionReport]:
     """All minimal obstructions for goal among cographs on <= n_max vertices.
 
-    Enumerates one representative per isomorphism class. Results are sorted
-    by vertex count, then canonical code, independent of jobs. At most
-    os.cpu_count() worker processes run, however large jobs is.
+    Enumerates one representative per isomorphism class. Results come in
+    enumeration order, which is by vertex count, then canonical code,
+    independent of jobs. At most os.cpu_count() worker processes run,
+    however large jobs is.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -478,5 +478,4 @@ def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[Obstruc
                     found.extend(running.popleft().result())
             for future in running:
                 found.extend(future.result())
-    found.sort(key=lambda item: item[0])
-    return [rep for _, rep in found]
+    return found

@@ -204,12 +204,11 @@ def _prefix_frontiers(node: CotreeNode, fronts: list[_FrontierT], region: tuple)
 class TripleSet:
     """Upward-closed feasible triples inside a box, held as the frontier."""
 
-    __slots__ = ("box", "frontier", "_grid")
+    __slots__ = ("box", "frontier")
 
     def __init__(self, box: Triple, frontier: tuple[Triple, ...]):
         self.box = box
         self.frontier = tuple(sorted(frontier))
-        self._grid: bytes | None = None
 
     def contains(self, triple) -> bool:
         t = as_triple(triple)
@@ -217,32 +216,15 @@ class TripleSet:
             raise ValueError(f"{tuple(t)} lies outside the computed box {tuple(self.box)}")
         return any(t.dominates(m) for m in self.frontier)
 
-    @property
-    def grid(self) -> bytes:
-        """Dense membership over the box, index (p*(Q+1) + q)*(R+1) + r."""
-        if self._grid is None:
-            P, Q, R = self.box
-            buf = bytearray((P + 1) * (Q + 1) * (R + 1))
-            for mp, mq, mr in self.frontier:
-                for a in range(mp, P + 1):
-                    for b in range(mq, Q + 1):
-                        base = (a * (Q + 1) + b) * (R + 1)
-                        for c in range(mr, R + 1):
-                            buf[base + c] = 1
-            self._grid = bytes(buf)
-        return self._grid
-
     def triples(self):
         """All feasible triples in the box, lexicographically."""
         P, Q, R = self.box
-        grid = self.grid
-        i = 0
         for a in range(P + 1):
             for b in range(Q + 1):
-                for c in range(R + 1):
-                    if grid[i]:
-                        yield Triple(a, b, c)
-                    i += 1
+                # (a, b, c) is feasible from the least r of the members below (a, b)
+                least = min((m.r for m in self.frontier if m.p <= a and m.q <= b), default=R + 1)
+                for c in range(least, R + 1):
+                    yield Triple(a, b, c)
 
     def __eq__(self, other):
         if not isinstance(other, TripleSet):
@@ -304,21 +286,26 @@ class PartitionCertificate:
 
     @classmethod
     def from_json(cls, data: dict, triple=None) -> PartitionCertificate:
-        entries = data["labels"]
+        """Raises ValueError on a vertex id that is not an int or appears twice."""
         labels: dict[int, str] = {}
-        for item in entries:
-            labels[int(item["v"])] = str(item["class"])
+        for item in data["labels"]:
+            v = item["v"]
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"vertex id {v!r} is not an integer")
+            if v in labels:
+                raise ValueError(f"vertex {v} is labelled twice")
+            labels[v] = str(item["class"])
         if sorted(labels) != list(range(len(labels))):
             raise ValueError("certificate labels must cover vertices 0..n-1")
         t = as_triple(triple) if triple is not None else Triple(0, 0, 0)
         return cls(t, tuple(labels[v] for v in range(len(labels))))
 
 
-_LABEL_RE = re.compile(r"^(?:R|([FQ])([1-9][0-9]*))$")
+_LABEL_RE = re.compile(r"R|([FQ])([1-9][0-9]*)")
 
 
 def _parse_label(label: str) -> tuple[str, int]:
-    m = _LABEL_RE.match(label)
+    m = _LABEL_RE.fullmatch(label)
     if not m:
         raise ValueError(f"malformed class label {label!r}")
     if m.group(1) is None:
@@ -501,7 +488,7 @@ def check_partition(graph, certificate, triple) -> bool:
             if graph.row(v) & mask:
                 return False
     for mask in forest_masks.values():
-        if not graph.induced_subgraph(iter_bits(mask)).is_forest():
+        if not graph.is_forest(mask):
             return False
     return True
 

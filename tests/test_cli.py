@@ -180,6 +180,23 @@ def test_resource_errors_are_input_errors(capsys, monkeypatch, error):
     assert error.__name__ in data["error"]
 
 
+@pytest.mark.parametrize("text", [
+    '{"labels": [{"v": 0, "class": "Q1"}, {"v": 0, "class": "F1"}, {"v": 1, "class": "F1"}]}',
+    '{"labels": [{"v": 0, "class": "F1"}, {"v": 1.7, "class": "F1"}]}',
+    '{"labels": [{"v": 0, "class": "F1"}, {"v": "1", "class": "F1"}]}',
+    '{"labels": [{"v": 0, "class": "F1"}, {"v": true, "class": "F1"}]}',
+    '{"labels": [{"v": 1e400, "class": "F1"}]}',
+], ids=["repeated", "float", "string", "bool", "overflow"])
+def test_check_rejects_bad_vertex_ids(capsys, tmp_path, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    code, out = run(capsys, "check", "--dsl", "K(2)", "--triple", "1,0,0",
+                    "--certificate", str(path))
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and "malformed certificate" in json.loads(lines[0])["error"]
+
+
 def test_check_rejects_malformed_certificate(capsys, tmp_path):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps({"labels": [{"v": 0, "class": "Z9"}]}))
@@ -187,6 +204,49 @@ def test_check_rejects_malformed_certificate(capsys, tmp_path):
     code, data = run_json(capsys, "check", "--graph6", g6,
                           "--triple", "1,0,0", "--certificate", str(path))
     assert code == 2 and "error" in data
+
+
+P4_G6 = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)]).to_graph6()
+
+
+@pytest.mark.parametrize("argv", [
+    ["recognize", "--graph6", "@@"],
+    ["realize", "--dsl", "K("],
+    ["solve", "--dsl", "K(3)", "--triple", "1,0"],
+    ["frontier", "--dsl", "K(2)", "--box", "1,1"],
+    ["arboricity", "--edges", "MISSING"],
+    ["chromatic", "--graph6", "@@"],
+    ["ifvs-q", "--dsl", "J(K(1)"],
+    ["strength", "--graph6", P4_G6],
+    ["mindel", "--dsl", "K(", "--p", "1", "--q", "1"],
+    ["certificate", "--dsl", "K(2)", "--triple", "x"],
+    ["check", "--dsl", "K(2)", "--triple", "1,0,0", "--certificate", "MISSING"],
+    ["enumerate", "--n", "0"],
+    ["oracle", "--graph6", Graph(13).to_graph6(), "--triple", "0,1,0"],
+    ["obstructions", "families", "--p", "0"],
+    ["obstructions", "check", "--dsl", "K(3)", "--goal", "(1,0)"],
+    ["obstructions", "search", "--n", "0", "--goal", "(1,0,0)"],
+    ["obstructions", "count", "--p", "1", "--i", "0"],
+], ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("-")))
+def test_malformed_input_exits_two_with_one_error_line(capsys, tmp_path, argv):
+    argv = [str(tmp_path / "missing") if a == "MISSING" else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize("error", [AssertionError, KeyError])
+def test_internal_errors_exit_two(capsys, monkeypatch, error):
+    def explode(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "vertex_arboricity", explode)
+    code = main(["arboricity", "--dsl", C4_DSL])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out) == {"error": f"internal error ({error.__name__}): {error('boom')}"}
+    assert error.__name__ in err
 
 
 def test_enumerate(capsys):

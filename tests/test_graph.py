@@ -136,6 +136,21 @@ def test_is_forest_matches_networkx():
         assert g.is_forest() == nx.is_forest(to_nx(g))
 
 
+def test_is_forest_within_matches_networkx():
+    rng = random.Random(4187)
+    assert Graph(0).is_forest() and Graph(0).is_forest(0)
+    for _ in range(200):
+        n = rng.randrange(1, 14)
+        g = random_graph(rng, n, p=rng.choice([0.1, 0.2, 0.4]))
+        assert g.is_forest() == nx.is_forest(to_nx(g))
+        for _ in range(5):
+            keep = [v for v in range(n) if rng.random() < 0.6]
+            mask = sum(1 << v for v in keep)
+            # networkx raises on the null graph, which is a forest
+            want = not keep or nx.is_forest(to_nx(g).subgraph(keep))
+            assert g.is_forest(mask) == want
+
+
 def test_is_independent():
     assert Graph(4).is_independent()
     assert not Graph.from_edge_list(4, [(0, 1)]).is_independent()

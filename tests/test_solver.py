@@ -345,6 +345,9 @@ def test_check_partition_malformed():
         check_partition(C4, ("Q0", "Q1", "Q1", "Q2"), (0, 2, 0))
     with pytest.raises(ValueError):
         check_partition(C4, ("X1", "Q1", "Q1", "Q2"), (0, 2, 0))
+    for label in ("F1\n", "R\n"):
+        with pytest.raises(ValueError):
+            check_partition(C4, (label, "F1", "F1", "R"), (1, 0, 2))
 
 
 def test_vertex_arboricity():
