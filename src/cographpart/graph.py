@@ -4,12 +4,20 @@ Adjacency is stored as one Python int per vertex: bit u of row v is set iff
 uv is an edge. All operations return new Graph instances. The empty graph
 (n = 0) is legal everywhere and acts as the identity for both disjoint_union
 and join.
+
+graph6 and sparse6 share one bit layer: _decode_order turns a body into one
+string of "0"/"1" (six bits per character, most significant first) and
+_chars packs such a string back, so each codec reads its fields with
+int(s, 2) and writes them with format.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = ["Graph", "iter_bits"]
+
+# the largest vertex count graph6 and sparse6 can write
+_MAX_ORDER = 68719476735
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -55,6 +63,8 @@ class Graph:
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n > _MAX_ORDER:
+            raise ValueError(f"vertex count {n} exceeds {_MAX_ORDER}, the graph6 limit")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -174,9 +184,6 @@ class Graph:
             remaining &= ~comp
         return out
 
-    def components(self) -> list[tuple[int, ...]]:
-        return [tuple(iter_bits(mask)) for mask in self.component_masks()]
-
     def is_independent(self) -> bool:
         return all(row == 0 for row in self._rows)
 
@@ -190,39 +197,28 @@ class Graph:
     # -- graph6 --------------------------------------------------------
 
     def to_graph6(self) -> str:
-        chunks = [_encode_order(self.n)]
-        bits = 0
-        nbits = 0
-        for j in range(1, self.n):
-            col = self._rows[j]
-            for i in range(j):
-                bits = bits << 1 | (col >> i & 1)
-                nbits += 1
-                if nbits == 6:
-                    chunks.append(chr(bits + 63))
-                    bits = nbits = 0
-        if nbits:
-            chunks.append(chr((bits << (6 - nbits)) + 63))
-        return "".join(chunks)
+        # column j lists the bits of rows[j] below the diagonal, vertex 0 first
+        bits = "".join(
+            format(self._rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, self.n))
+        return _encode_order(self.n) + _chars(bits)
 
     @classmethod
     def from_graph6(cls, text: str) -> Graph:
         data = _strip_header(text, ">>graph6<<")
         if data.startswith(":"):
             raise ValueError("sparse6 input: use from_sparse6")
-        vals = _six_bit_values(data)
-        n, vals = _decode_order(vals)
+        n, bits = _decode_order(data)
         need = (n * (n - 1) // 2 + 5) // 6
-        if len(vals) != need:
-            raise ValueError(f"graph6 body has {len(vals)} groups, expected {need}")
+        if len(bits) != 6 * need:
+            raise ValueError(f"graph6 body has {len(bits) // 6} groups, expected {need}")
         rows = [0] * n
         pos = 0
         for j in range(1, n):
-            for i in range(j):
-                if vals[pos // 6] >> (5 - pos % 6) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                pos += 1
+            col = int(bits[pos : pos + j][::-1], 2)
+            pos += j
+            rows[j] = col
+            for i in iter_bits(col):
+                rows[i] |= 1 << j
         return cls._unsafe(n, tuple(rows))
 
     # -- sparse6 -------------------------------------------------------
@@ -230,70 +226,41 @@ class Graph:
     def to_sparse6(self) -> str:
         n = self.n
         k = max(1, (n - 1).bit_length())
-        bits: list[int] = []
-
-        def put(value: int, width: int) -> None:
-            for shift in range(width - 1, -1, -1):
-                bits.append(value >> shift & 1)
-
+        records = []
         cur = 0
         for v, u in sorted((max(e), min(e)) for e in self.edges()):
             if v == cur:
-                put(0, 1)
-                put(u, k)
-            elif v == cur + 1:
-                cur = v
-                put(1, 1)
-                put(u, k)
+                records.append(f"0{u:0{k}b}")
             else:
+                records.append(f"1{u:0{k}b}" if v == cur + 1 else f"1{v:0{k}b}0{u:0{k}b}")
                 cur = v
-                put(1, 1)
-                put(v, k)
-                put(0, 1)
-                put(u, k)
+        bits = "".join(records)
         # pad with 1s; guard against the padding spelling a phantom edge at n-1
         pad = -len(bits) % 6
         if k < 6 and n == (1 << k) and pad >= k and cur < n - 1:
-            bits.append(0)
+            bits += "0"
             pad = -len(bits) % 6
-        bits.extend([1] * pad)
-        chunks = [":", _encode_order(n)]
-        for i in range(0, len(bits), 6):
-            val = 0
-            for b in bits[i : i + 6]:
-                val = val << 1 | b
-            chunks.append(chr(val + 63))
-        return "".join(chunks)
+        return ":" + _encode_order(n) + _chars(bits + "1" * pad)
 
     @classmethod
     def from_sparse6(cls, text: str) -> Graph:
         data = _strip_header(text, ">>sparse6<<")
         if not data.startswith(":"):
             raise ValueError("sparse6 string must start with ':'")
-        vals = _six_bit_values(data[1:])
-        n, vals = _decode_order(vals)
+        n, bits = _decode_order(data[1:])
         k = max(1, (n - 1).bit_length())
-        bits = []
-        for val in vals:
-            for shift in range(5, -1, -1):
-                bits.append(val >> shift & 1)
         rows = [0] * n
         cur = 0
-        pos = 0
-        while pos + k < len(bits):
-            b = bits[pos]
-            x = 0
-            for bit in bits[pos + 1 : pos + 1 + k]:
-                x = x << 1 | bit
-            pos += 1 + k
-            if b:
+        # records of k + 1 bits; a shorter tail is padding
+        for pos in range(0, len(bits) - k, k + 1):
+            x = int(bits[pos + 1 : pos + 1 + k], 2)
+            if bits[pos] == "1":
                 cur += 1
             if x > cur:
                 cur = x
-            elif cur < n:
-                if x != cur:
-                    rows[x] |= 1 << cur
-                    rows[cur] |= 1 << x
+            elif cur < n and x != cur:
+                rows[x] |= 1 << cur
+                rows[cur] |= 1 << x
         return cls._unsafe(n, tuple(rows))
 
     # -- plain text ----------------------------------------------------
@@ -328,37 +295,40 @@ def _strip_header(text: str, header: str) -> str:
     return text
 
 
-def _six_bit_values(data: str) -> list[int]:
-    vals = []
-    for ch in data:
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise ValueError(f"invalid graph6 character {ch!r}")
-        vals.append(code - 63)
-    return vals
+# the six bits of each graph6 character 63..126, both ways
+_CHAR = {f"{c:06b}": chr(c + 63) for c in range(64)}
+_SIX_BITS = str.maketrans({ch: bits for bits, ch in _CHAR.items()})
+
+
+def _chars(bits: str) -> str:
+    """Pack a string of "0"/"1" six bits per character, padding the end with 0s."""
+    bits += "0" * (-len(bits) % 6)
+    return "".join([_CHAR[bits[i : i + 6]] for i in range(0, len(bits), 6)])
 
 
 def _encode_order(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
     if n <= 258047:
-        return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    if n <= 68719476735:
-        return "~~" + "".join(chr((n >> s & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+        return "~" + _chars(f"{n:018b}")
+    if n <= _MAX_ORDER:
+        return "~~" + _chars(f"{n:036b}")
     raise ValueError("vertex count too large for graph6")
 
 
-def _decode_order(vals: list[int]) -> tuple[int, list[int]]:
-    if not vals:
+def _decode_order(data: str) -> tuple[int, str]:
+    """The vertex count, and the rest of the body as a string of "0"/"1"."""
+    bits = data.translate(_SIX_BITS)
+    if len(bits) != 6 * len(data):
+        # translate leaves a character outside 63..126 as it is
+        bad = next(ch for ch in data if not 63 <= ord(ch) <= 126)
+        raise ValueError(f"invalid graph6 character {bad!r}")
+    if not bits:
         raise ValueError("empty graph6 data")
-    if vals[0] != 63:
-        return vals[0], vals[1:]
-    if len(vals) >= 4 and vals[1] != 63:
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        return n, vals[4:]
-    if len(vals) >= 8:
-        n = 0
-        for v in vals[2:8]:
-            n = n << 6 | v
-        return n, vals[8:]
+    if bits[:6] != "111111":
+        return int(bits[:6], 2), bits[6:]
+    if len(bits) >= 24 and bits[6:12] != "111111":
+        return int(bits[6:24], 2), bits[24:]
+    if len(bits) >= 48:
+        return int(bits[12:48], 2), bits[48:]
     raise ValueError("truncated graph6 vertex count")

@@ -59,6 +59,8 @@ def brute_force_partitionable(
     n = graph.n
     if n == 0:
         return True
+    # a class beyond the n-th is always empty
+    p, q = min(p, n), min(q, n)
 
     if order is None:
         seq = sorted(range(n), key=lambda v: (-graph.degree(v), v))

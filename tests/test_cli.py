@@ -144,6 +144,12 @@ def test_edges_file_input(capsys, tmp_path):
     code, data = run_json(capsys, "arboricity", "--edges",
                           str(tmp_path / "missing.txt"))
     assert code == 2 and "error" in data
+    # more vertices than graph6 can write: an input error, not a crash
+    path.write_text("99999999999999999999\n")
+    code, out = run(capsys, "recognize", "--edges", str(path))
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 1
+    assert "exceeds" in json.loads(lines[0])["error"]
 
 
 def test_certificate_round_trip(capsys, tmp_path):
@@ -273,6 +279,10 @@ def test_oracle(capsys):
     code, data = run_json(capsys, "oracle", "--graph6",
                           Graph(13).to_graph6(), "--triple", "0,1,0")
     assert code == 2 and "error" in data
+    # class counts beyond n are empty classes, not allocations
+    for triple in ("99999999999999999999,0,0", "0,99999999999999999999,0"):
+        code, data = run_json(capsys, "oracle", "--dsl", "K(3)", "--triple", triple)
+        assert code == 0 and data["feasible"] is True
 
 
 def test_obstructions_families(capsys):

@@ -1,6 +1,6 @@
 """Tests for the bitset graph type and its encodings."""
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import networkx as nx
 import pytest
@@ -41,6 +41,8 @@ def test_from_edge_list_rejects_bad_input():
         Graph.from_edge_list(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edge_list(-1, [])
+    with pytest.raises(ValueError):
+        Graph.from_edge_list(10**20, [])  # more vertices than graph6 can write
 
 
 def test_from_edge_list_ignores_duplicates():
@@ -164,10 +166,15 @@ def test_graph6_round_trip_small():
     assert Graph.from_graph6(">>graph6<<" + s) == g
 
 
+# past the one-character header: 62, 63 and 64 sit either side of the "~"
+# header, and 32 is a sparse6 n = 2**k case at k = 5 (its records are 6 or
+# 12 bits, so the padding guard below never fires there)
+LARGER_ORDERS = (32, 62, 63, 64, 100, 130)
+
+
 def test_graph6_matches_networkx():
     rng = random.Random(77)
-    for _ in range(150):
-        n = rng.randrange(0, 21)
+    for n in chain((rng.randrange(0, 21) for _ in range(150)), LARGER_ORDERS):
         g = random_graph(rng, n)
         expected = nx.to_graph6_bytes(to_nx(g), header=False).strip().decode()
         assert g.to_graph6() == expected
@@ -176,9 +183,11 @@ def test_graph6_matches_networkx():
 
 def test_sparse6_matches_networkx():
     rng = random.Random(78)
-    for _ in range(150):
-        n = rng.randrange(1, 21)
-        g = random_graph(rng, n, p=rng.choice([0.15, 0.5, 0.9]))
+    sizes = chain((rng.randrange(1, 21) for _ in range(150)), LARGER_ORDERS * 3)
+    graphs = (random_graph(rng, n, p=rng.choice([0.15, 0.5, 0.9])) for n in sizes)
+    # n = 2**k with vertex n - 1 never reached: a 0 must go before the 1s of
+    # the padding, or they spell an edge to n - 1
+    for g in chain(graphs, [Graph.from_edge_list(4, [(0, 1)])]):
         expected = nx.to_sparse6_bytes(to_nx(g), header=False).strip().decode()
         assert g.to_sparse6() == expected
         assert Graph.from_sparse6(expected) == g
@@ -200,6 +209,10 @@ def test_graph6_rejects_malformed():
         Graph.from_graph6("D")  # truncated: K5-sized header, no bits
     with pytest.raises(ValueError):
         Graph.from_sparse6("foo")  # missing ':' prefix
+    with pytest.raises(ValueError, match="truncated"):
+        Graph.from_graph6("~??")  # truncated "~" vertex count
+    with pytest.raises(ValueError, match="invalid graph6 character"):
+        Graph.from_sparse6(":Fa w")  # ' ' lies outside 63..126
 
 
 def test_edge_list_text_round_trip():

@@ -33,6 +33,9 @@ def test_known_values():
     assert brute_force_partitionable(K5, Triple(2, 1, 0))
     assert not brute_force_partitionable(K5, Triple(1, 2, 0))
     assert brute_force_partitionable(K5, Triple(1, 2, 1))
+    # class counts beyond n are empty classes, not allocations
+    assert brute_force_partitionable(K5, (10**20, 0, 0))
+    assert brute_force_partitionable(K5, (0, 10**20, 0))
 
 
 def test_plain_tuples_accepted():
