@@ -45,10 +45,15 @@ def _parse_triple(text: str) -> Triple:
     return Triple(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
+_GOAL_ITEM = r"\(\s*\d+\s*,\s*\d+\s*,\s*\d+\s*\)|\d+\s*,\s*\d+\s*,\s*\d+"
+_GOAL_RE = re.compile(rf"(?:{_GOAL_ITEM})(?:(?:\s*,\s*|\s+)(?:{_GOAL_ITEM}))*")
+
+
 def _parse_goal(text: str) -> tuple[Triple, ...]:
+    """Triples written p,q,r or (p,q,r), separated by commas or whitespace."""
+    if not _GOAL_RE.fullmatch(text.strip()):
+        raise ValueError(f"expected triples (p,q,r) separated by commas or spaces, got {text!r}")
     found = [Triple(int(a), int(b), int(c)) for a, b, c in _TRIPLE_RE.findall(text)]
-    if not found:
-        raise ValueError(f"no triples found in goal {text!r}")
     return tuple(sorted(set(found)))
 
 
@@ -317,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("oracle", parents=[common], help="budgeted brute-force verdict on any graph")
     _add_graph_input(s)
     s.add_argument("--triple", required=True, metavar="p,q,r")
-    s.add_argument("--max-vertices", type=int, default=OracleBudget.max_vertices)
-    s.add_argument("--max-assignments", type=int, default=OracleBudget.max_assignments)
+    budget = OracleBudget()
+    s.add_argument("--max-vertices", type=int, default=budget.max_vertices)
+    s.add_argument("--max-assignments", type=int, default=budget.max_assignments)
     s.set_defaults(func=_cmd_oracle)
 
     s = sub.add_parser("obstructions", help="catalogs, minimality reports, search")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cache
 from itertools import count
 from operator import itemgetter
@@ -33,19 +32,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Leaf:
-    vertex: int
+class _Node:
+    """An immutable cotree node with one field, compared and hashed by
+    identity: a structural hash would recurse down the whole subtree. Nodes
+    take weak references, so identity-keyed caches can hold them weakly."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _field(self):
+        return getattr(self, self.__slots__[0])
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.__slots__[0]}={self._field()!r})"
+
+    def __reduce__(self):
+        # the default slot state would be restored through __setattr__
+        return type(self), (self._field(),)
 
 
-@dataclass(frozen=True, eq=False)
-class Union:
-    children: tuple[CotreeNode, ...]
+class Leaf(_Node):
+    __slots__ = ("vertex",)
+
+    def __init__(self, vertex: int):
+        object.__setattr__(self, "vertex", vertex)
 
 
-@dataclass(frozen=True, eq=False)
-class Join:
-    children: tuple[CotreeNode, ...]
+class Union(_Node):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[CotreeNode, ...]):
+        object.__setattr__(self, "children", children)
+
+
+class Join(_Node):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[CotreeNode, ...]):
+        object.__setattr__(self, "children", children)
 
 
 CotreeNode = Leaf | Union | Join

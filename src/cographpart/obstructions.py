@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, islice
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .cotree import (
     CotreeNode, Leaf, _as_graph, _coerce_tree, _delete_leaf, _fold, canonical_code,
@@ -29,6 +27,9 @@ from .cotree import (
 )
 from .graph import Graph, iter_bits
 from .solver import Triple, as_triple, chromatic_number, extract_certificate, feasible_set
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "FAMILY_A2_DSL", "family_A2", "family_Ap_dsl", "family_Ap",
@@ -198,6 +199,7 @@ def count_Oi_report(p: int, i: int) -> OiCount:
     formula divides ordered selections by i! and can disagree with the
     ground truth when forests repeat. Both are reported, neither asserted.
     """
+    from fractions import Fraction  # only this report pays for the import
     distinct = count_Oi(p, i)
     choices = count_partitions(p + 2 - i) - 1 if i else 0
     multiset = math.comb(choices + i - 1, i) if i else 1
@@ -253,8 +255,7 @@ class FeasibleWitness(NamedTuple):
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     dsl: str
     graph6: str
     goal: tuple[Triple, ...]

@@ -10,8 +10,7 @@ OracleBudgetExceeded instead of returning a possibly wrong answer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import Graph, iter_bits
 from .strength import StrengthProfile
@@ -23,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(NamedTuple):
     max_vertices: int = 12
     max_assignments: int = 10_000_000
 

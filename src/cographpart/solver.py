@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import NamedTuple
@@ -172,6 +171,9 @@ def _combine(kind: str, fl: _FrontierT, fr: _FrontierT, region: tuple[int, int, 
     result = _minimalize(cands)
     if len(_combine_cache) >= _COMBINE_CACHE_LIMIT:
         _combine_cache.clear()
+    # many keys share one frontier: keep a single copy of each, stored under
+    # itself (a frontier never equals a key, whose first item is "U" or "J")
+    result = _combine_cache.setdefault(result, result)
     _combine_cache[key] = result
     return result
 
@@ -274,8 +276,7 @@ def is_partitionable(graph_or_tree, triple) -> bool:
 # -- certificates ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionCertificate:
+class PartitionCertificate(NamedTuple):
     """Per-vertex labels for a concrete partition: "F3", "Q1", or "R"."""
 
     triple: Triple

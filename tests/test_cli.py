@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from cographpart import Graph, cli
-from cographpart.cli import main
+from cographpart import Graph, OracleBudget, Triple, cli
+from cographpart.cli import _parse_goal, main
 
 C4_DSL = "C(U(2*K(2)))"
 
@@ -285,6 +285,19 @@ def test_oracle(capsys):
         assert code == 0 and data["feasible"] is True
 
 
+def test_oracle_default_budget(capsys, monkeypatch):
+    budgets = []
+
+    def record(graph, triple, budget):
+        budgets.append(budget)
+        return True
+
+    monkeypatch.setattr(cli, "brute_force_partitionable", record)
+    code, _ = run_json(capsys, "oracle", "--dsl", "K(3)", "--triple", "1,0,0")
+    assert code == 0
+    assert budgets == [OracleBudget(max_vertices=12, max_assignments=10_000_000)]
+
+
 def test_obstructions_families(capsys):
     code, out = run(capsys, "obstructions", "families")
     assert code == 0
@@ -303,6 +316,26 @@ def test_obstructions_families_oi(capsys):
     code, out = run(capsys, "obstructions", "families", "--p", "3", "--oi", "1")
     lines = out.splitlines()
     assert code == 0 and len(lines) == 4
+
+
+def test_parse_goal():
+    assert _parse_goal("(0,2,1),(0,1,2)") == (Triple(0, 1, 2), Triple(0, 2, 1))
+    assert _parse_goal(" 1,1,0 (2, 0, 0)\n2,0,0 ") == (Triple(1, 1, 0), Triple(2, 0, 0))
+    assert _parse_goal("1,1,0,2,0,0") == (Triple(1, 1, 0), Triple(2, 0, 0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["obstructions", "check", "--dsl", "K(4)", "--goal", "1,1,0,7"],
+    ["obstructions", "check", "--dsl", "K(4)", "--goal", "(2,0,0),(1,1"],
+    ["obstructions", "check", "--dsl", "K(4)", "--goal", "(2,0,0)(1,1,0)"],
+    ["obstructions", "search", "--n", "3", "--goal", "(1,0,0),"],
+], ids=["trailing-number", "unclosed-triple", "no-separator", "trailing-comma"])
+def test_goal_with_stray_text_exits_two(capsys, argv):
+    """A goal is read whole: text that is not a triple is an error, not skipped."""
+    code, out = run(capsys, *argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
 def test_obstructions_check(capsys):
@@ -354,3 +387,19 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"rho": 3}
+
+
+def test_import_footprint():
+    """The CLI loads no dataclasses, inspect or fractions; the package loads
+    every module whose functions a tracer may patch."""
+    probe = ("import json, sys\n"
+             "import cographpart.cli\n"
+             "heavy = [m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules]\n"
+             "import cographpart\n"
+             "mods = ('graph', 'cotree', 'solver', 'strength', 'obstructions')\n"
+             "print(json.dumps([heavy, [m for m in mods if 'cographpart.' + m in sys.modules]]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    heavy, loaded = json.loads(proc.stdout)
+    assert heavy == []
+    assert loaded == ["graph", "cotree", "solver", "strength", "obstructions"]

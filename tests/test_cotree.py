@@ -1,8 +1,10 @@
 """Tests for cotree construction, the expression language, recognition
 and enumeration."""
 import hashlib
+import pickle
 import random
 import re
+import weakref
 
 import networkx as nx
 import pytest
@@ -52,6 +54,36 @@ def assert_normalized(tree):
         for c in node.children:
             assert type(c) is not type(node)
             stack.append(c)
+
+
+def test_nodes_pickle_round_trip():
+    """Pool workers receive cotrees by pickle."""
+    for tree in (Leaf(3), parse_expr("J(U(2*K(3)),I(2))"), random_cotree(60, 5)):
+        back = pickle.loads(pickle.dumps(tree))
+        assert type(back) is type(tree)
+        assert to_expr(back) == to_expr(tree)
+        assert list(leaves(back)) == list(leaves(tree))
+
+
+def test_nodes_are_immutable_and_compared_by_identity():
+    tree = parse_expr("J(I(2),K(1))")
+    for node, field in ((tree, "children"), (tree.children[1], "vertex")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    with pytest.raises(AttributeError):
+        tree.extra = 1
+    assert Leaf(0) != Leaf(0)
+    assert Union((Leaf(0), Leaf(1))) != Union((Leaf(0), Leaf(1)))
+    assert tree == tree and hash(tree) == object.__hash__(tree)
+    assert len({Leaf(0), Leaf(0)}) == 2
+    assert weakref.ref(tree)() is tree
+
+
+def test_node_repr_pinned():
+    assert repr(parse_expr("J(I(2),K(1))")) == \
+        "Join(children=(Union(children=(Leaf(vertex=0), Leaf(vertex=1))), Leaf(vertex=2)))"
 
 
 def test_union_of_flattens():

@@ -1,5 +1,6 @@
 """Tests for obstruction families, the minimality checker and search."""
 import concurrent.futures
+import json
 import os
 import random
 from concurrent.futures import Future
@@ -233,6 +234,25 @@ def test_is_minimal_obstruction_feasible_graph():
     cx = report.counterexample
     assert cx is not None
     assert check_partition(Graph.complete(4), cx.labels, cx.triple)
+
+
+@pytest.mark.parametrize("dsl, goal, text", [
+    ("K(3)", (1, 0, 0),
+     '{"graph6": "Bw", "dsl": "K(3)", "goal": [[1, 0, 0]], "obstruction": true, '
+     '"minimal": true, "witnesses": ['
+     '{"vertex": 0, "triple": [1, 0, 0], "labels": [[1, "F1"], [2, "F1"]]}, '
+     '{"vertex": 1, "triple": [1, 0, 0], "labels": [[0, "F1"], [2, "F1"]]}, '
+     '{"vertex": 2, "triple": [1, 0, 0], "labels": [[0, "F1"], [1, "F1"]]}]}'),
+    ("K(4)", (1, 0, 0),
+     '{"graph6": "C~", "dsl": "K(4)", "goal": [[1, 0, 0]], "obstruction": true, '
+     '"minimal": false, "failing_vertex": 0}'),
+    ("I(3)", [(1, 0, 0), (0, 1, 0)],
+     '{"graph6": "B?", "dsl": "I(3)", "goal": [[0, 1, 0], [1, 0, 0]], '
+     '"obstruction": false, "minimal": false, '
+     '"counterexample": {"triple": [0, 1, 0], "labels": ["Q1", "Q1", "Q1"]}}'),
+], ids=["minimal", "failing-vertex", "counterexample"])
+def test_report_json_pinned(dsl, goal, text):
+    assert json.dumps(is_minimal_obstruction(parse_expr(dsl), goal).to_json()) == text
 
 
 def test_is_minimal_obstruction_ifvs():

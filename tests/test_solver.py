@@ -32,6 +32,8 @@ from cographpart import (
     vertex_arboricity,
 )
 
+from cographpart.solver import _combine_cache
+
 from conftest import from_nx, to_nx
 
 C4_TREE = parse_expr("C(U(2*K(2)))")
@@ -196,6 +198,20 @@ def test_fold_order_independence():
             assert feasible_set(shuffled(t), (3, 3, 3)) == base
 
 
+def test_memo_keeps_one_copy_of_each_frontier():
+    """Cached frontiers that are equal as values are one object."""
+    _combine_cache.clear()
+    rng = random.Random(23)
+    for _ in range(6):
+        t = random_cotree(rng.randint(40, 200), rng)
+        for box in ((2, 2, 2), (3, 0, 5), (1, 1, 8)):
+            feasible_set(t, box)
+    results = [v for k, v in _combine_cache.items() if k and k[0] in ("U", "J")]
+    distinct = set(results)
+    assert len(results) > len(distinct)
+    assert len({id(v) for v in results}) == len(distinct)
+
+
 def test_certificate_c4_bipartition():
     cert = extract_certificate(C4_TREE, (0, 2, 0))
     assert check_partition(C4, cert, (0, 2, 0))
@@ -268,7 +284,8 @@ def test_certificate_at_min_deletions(p, q):
 def test_certificate_json_round_trip():
     cert = extract_certificate(C4_TREE, (0, 2, 0))
     data = cert.to_json()
-    assert {"v": 0, "class": "Q1"} in data["labels"]
+    assert data == {"labels": [{"v": 0, "class": "Q1"}, {"v": 1, "class": "Q1"},
+                               {"v": 2, "class": "Q2"}, {"v": 3, "class": "Q2"}]}
     back = PartitionCertificate.from_json(data, (0, 2, 0))
     assert back.labels == cert.labels
     assert check_partition(C4, back, (0, 2, 0))
