@@ -35,26 +35,23 @@ from .solver import (
 from .strength import strength_profile
 
 
-_TRIPLE_RE = re.compile(r"\(?\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)?")
+# ASCII digits only: int() would also read other scripts' digits
+_GOAL_ITEM = r"\(\s*[0-9]+\s*,\s*[0-9]+\s*,\s*[0-9]+\s*\)|[0-9]+\s*,\s*[0-9]+\s*,\s*[0-9]+"
+_GOAL_RE = re.compile(rf"(?:{_GOAL_ITEM})(?:(?:\s*,\s*|\s+)(?:{_GOAL_ITEM}))*")
 
 
 def _parse_triple(text: str) -> Triple:
-    m = _TRIPLE_RE.fullmatch(text.strip())
-    if not m:
+    if not re.fullmatch(_GOAL_ITEM, text.strip()):
         raise ValueError(f"expected p,q,r with nonnegative integers, got {text!r}")
-    return Triple(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-
-
-_GOAL_ITEM = r"\(\s*\d+\s*,\s*\d+\s*,\s*\d+\s*\)|\d+\s*,\s*\d+\s*,\s*\d+"
-_GOAL_RE = re.compile(rf"(?:{_GOAL_ITEM})(?:(?:\s*,\s*|\s+)(?:{_GOAL_ITEM}))*")
+    return Triple(*map(int, re.findall("[0-9]+", text)))
 
 
 def _parse_goal(text: str) -> tuple[Triple, ...]:
     """Triples written p,q,r or (p,q,r), separated by commas or whitespace."""
     if not _GOAL_RE.fullmatch(text.strip()):
         raise ValueError(f"expected triples (p,q,r) separated by commas or spaces, got {text!r}")
-    found = [Triple(int(a), int(b), int(c)) for a, b, c in _TRIPLE_RE.findall(text)]
-    return tuple(sorted(set(found)))
+    nums = [int(x) for x in re.findall("[0-9]+", text)]
+    return tuple(sorted({Triple(*nums[i : i + 3]) for i in range(0, len(nums), 3)}))
 
 
 def _load_graph(args) -> Graph:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator, Sequence
-from functools import cache
 from itertools import count
 from operator import itemgetter
 
@@ -245,7 +244,7 @@ class _ExprParser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
@@ -257,7 +256,7 @@ class _ExprParser:
         pending: list[tuple[str, object]] = []
         while True:
             ch = self.peek()
-            if ch.isdigit():
+            if "0" <= ch <= "9":    # ASCII only: int() would read other digits too
                 count = self.integer()
                 self.expect("*")
                 if count < 1:
@@ -456,59 +455,66 @@ def _as_graph(graph_or_tree) -> Graph:
 # -- enumeration -------------------------------------------------------
 
 
-def _multisets(total: int, pool: list[tuple[int, CotreeNode]]):
-    """Multisets of >= 2 pool entries (given as (size, tree)) with sizes summing
-    to total, chosen by non-decreasing pool index."""
-    chosen: list[CotreeNode] = []
-
-    def rec(remaining: int, start: int):
-        if remaining == 0:
-            if len(chosen) >= 2:
-                yield tuple(chosen)
-            return
-        for idx in range(start, len(pool)):
-            size, tree = pool[idx]
-            if size > remaining:    # the pool is in ascending size order
-                break
-            chosen.append(tree)
-            yield from rec(remaining - size, idx)
-            chosen.pop()
-
-    yield from rec(total, 0)
-
-
-@cache
-def _rooted(n: int, join: bool) -> list[tuple[bytes, CotreeNode]]:
-    """(canonical code, tree) for one cotree per cograph on n vertices whose
-    root is a Join (join=True) or a Union (join=False), sorted by code; n = 1
-    gives the lone Leaf either way. The lists live for the whole process."""
-    if n == 1:
-        return [(b"L", Leaf(0))]
-    if join:
-        pool = [(size, tree) for size in range(1, n) for _, tree in _rooted(size, False)]
-        trees = map(Join, _multisets(n, pool))
-    else:
-        trees = (Union(tuple(complement_tree(c) for c in tree.children))
-                 for _, tree in _rooted(n, True))
-    return sorted(((canonical_code(t), t) for t in trees), key=itemgetter(0))
+def _multisets(total: int, pool: list, start: int = 0) -> Iterator[tuple]:
+    """Multisets of pool[start:] entries, whose sizes (first fields) sum to
+    total, as tuples in pool order. The pool is in ascending size order."""
+    if total == 0:
+        yield ()
+    for idx in range(start, len(pool)):
+        size = pool[idx][0]
+        if size > total:
+            break
+        for rest in _multisets(total - size, pool, idx):
+            yield (pool[idx], *rest)
 
 
 def enumerate_cographs(n: int) -> Iterator[CotreeNode]:
     """One normalized cotree per isomorphism class of cographs on n vertices.
 
     Trees are yielded in a deterministic order with leaf ids relabelled
-    0..n-1. Intended for n up to about 12; counts grow roughly threefold
-    per vertex.
+    0..n-1: the Join-rooted trees, then the Union-rooted ones, each sorted by
+    canonical code. Every call builds its trees afresh and keeps none.
+    Intended for n up to about 12; counts grow roughly threefold per vertex.
     """
     if n < 1:
         raise ValueError("enumeration needs n >= 1")
-    for join in (True, False) if n >= 2 else (True,):
-        for _, tree in _rooted(n, join):
-            yield relabel(tree)
+    if n == 1:
+        yield Leaf(0)
+        return
+    # (size, code, tree, complement's code, complement) for the leaf and each
+    # Union-rooted tree built so far, by size and then code
+    pool = [(1, b"L", Leaf(0), b"L", Leaf(0))]
+    for size in range(2, n + 1):
+        # a Join over Union-rooted children is the complement of the Union
+        # over their complements; both codes sort the children's codes
+        joins = [(b"J(" + b"".join(sorted([e[1] for e in kids])) + b")",
+                  Join(tuple([e[2] for e in kids])),
+                  b"U(" + b"".join(sorted([e[3] for e in kids])) + b")",
+                  Union(tuple([e[4] for e in kids])))
+                 for kids in _multisets(size, pool)]
+        joins.sort(key=itemgetter(0))
+        pool += sorted([(size, ucode, union, jcode, join)
+                        for jcode, join, ucode, union in joins], key=itemgetter(1))
+    yield from map(relabel, [j[1] for j in joins] + [u[2] for u in pool[-len(joins):]])
 
 
 def count_cographs(n: int) -> int:
-    return len(_rooted(n, True)) + (len(_rooted(n, False)) if n >= 2 else 0)
+    """Number of cographs on n vertices up to isomorphism, 0 for n < 1.
+
+    The Euler transform of the connected counts (OEIS A000084), where on two
+    or more vertices exactly one of a cograph and its complement is
+    connected. No tree is built.
+    """
+    # all and connected cographs on 0 and 1 vertices; s[k] sums d * conn[d] over d | k
+    total, conn, s = [1, 1], [0, 1], [0, 1]
+    for m in range(2, n + 1):
+        # m * total[m] sums s[k] * total[m - k] over 1 <= k <= m, and the
+        # term k = m holds m * conn[m] = m * total[m] / 2
+        proper = sum(d * conn[d] for d in range(1, m // 2 + 1) if m % d == 0)
+        total.append(2 * (proper + sum(s[k] * total[m - k] for k in range(1, m))) // m)
+        conn.append(total[m] // 2)
+        s.append(proper + m * conn[m])
+    return total[n] if n >= 1 else 0
 
 
 # -- random generation -------------------------------------------------

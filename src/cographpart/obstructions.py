@@ -152,14 +152,11 @@ def family_Oi(p: int, i: int, forests: Sequence[CotreeNode]) -> CotreeNode:
             raise ValueError(
                 f"each forest must be a star forest on {p + 2 - i} vertices")
     side = p + 1 - i
-    core = complement_tree(union_of([_clique_tree(side) for _ in range(side)])
-                           ) if side > 1 else Leaf(0)
+    core = complement_tree(union_of([_clique_tree(side) for _ in range(side)]))
     return relabel(join_of([core, *forests]))
 
 
 def _clique_tree(k: int) -> CotreeNode:
-    if k == 1:
-        return Leaf(0)
     return join_of([Leaf(j) for j in range(k)])
 
 

@@ -258,6 +258,8 @@ def test_internal_errors_exit_two(capsys, monkeypatch, error):
 def test_enumerate(capsys):
     code, data = run_json(capsys, "enumerate", "--n", "5", "--count-only")
     assert (code, data) == (0, {"n": 5, "count": 24})
+    assert run_json(capsys, "enumerate", "--n", "16", "--count-only") == \
+        (0, {"n": 16, "count": 4507352})
     code, out = run(capsys, "enumerate", "--n", "3")
     assert code == 0
     lines = [json.loads(ln) for ln in out.splitlines()]
@@ -336,6 +338,24 @@ def test_goal_with_stray_text_exits_two(capsys, argv):
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--dsl", "K(3)", "--triple", "(2,0,0"],
+    ["solve", "--dsl", "K(3)", "--triple", "2,0,0)"],
+    ["solve", "--dsl", "K(3)", "--triple", "\u0662,0,0"],
+    ["obstructions", "check", "--dsl", "K(4)", "--goal", "(\u0662,0,0)"],
+    ["realize", "--dsl", "K(\u0663)"],
+    ["realize", "--dsl", "K(\u00b2)"],
+], ids=["unclosed-triple", "unopened-triple", "arabic-indic-triple", "arabic-indic-goal",
+        "arabic-indic-dsl", "superscript-dsl"])
+def test_non_ascii_or_unbalanced_numbers_exit_two(capsys, argv):
+    """Numbers are ASCII digits, and a parenthesis opened is closed."""
+    code, out = run(capsys, *argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+    assert "internal error" not in lines[0] and "int()" not in lines[0]
 
 
 def test_obstructions_check(capsys):

@@ -1,5 +1,6 @@
 """Tests for cotree construction, the expression language, recognition
 and enumeration."""
+import gc
 import hashlib
 import pickle
 import random
@@ -31,16 +32,18 @@ from cographpart import (
     realize,
     recognize,
     relabel,
+    search_minimal_obstructions,
     to_expr,
     union_of,
 )
 
+from cographpart import cotree
 from cographpart.cotree import _delete_leaf
 
 from conftest import from_nx, has_p4_brute
 
-# Unlabelled cographs on 1..10 vertices.
-COGRAPH_COUNTS = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624]
+# Unlabelled cographs on 1..13 vertices.
+COGRAPH_COUNTS = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624, 14136, 43930, 137908]
 
 
 def assert_normalized(tree):
@@ -139,8 +142,9 @@ def test_parse_expr_complement():
 
 
 def test_parse_expr_errors():
+    # the last three use digits of other scripts, which are not numbers
     for bad in ["", "K(0)", "0*K(2)", "K(2) junk", "U(K(2)", "Q(3)", "U()",
-                "K(2))", "2*", "K(-1)"]:
+                "K(2))", "2*", "K(-1)", "K(\u0663)", "K(\u00b2)", "\u0662*K(1)"]:
         with pytest.raises(ValueError) as info:
             parse_expr(bad)
         position = int(re.search(r"position (\d+)", str(info.value)).group(1))
@@ -272,14 +276,42 @@ def test_height_and_arity():
 
 def test_enumerate_counts():
     for n, want in enumerate(COGRAPH_COUNTS, start=1):
-        if n > 8:
-            break
         assert count_cographs(n) == want
+    assert count_cographs(16) == 4507352
+    assert [count_cographs(n) for n in (0, -1)] == [0, 0]
     trees = list(enumerate_cographs(7))
     assert len(trees) == 180
     codes = {canonical_code(t) for t in trees}
     assert len(codes) == 180
     assert all(leaf_count(t) == 7 for t in trees)
+
+
+def test_count_matches_enumeration():
+    """The recurrence against the enumerator, which counts by building."""
+    for n in range(1, 12):
+        assert count_cographs(n) == sum(1 for _ in enumerate_cographs(n))
+
+
+def test_count_builds_no_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("count_cographs built a cotree node")
+
+    for name in ("Leaf", "Union", "Join"):
+        monkeypatch.setattr(cotree, name, refuse)
+    assert count_cographs(40) > count_cographs(39) > 0
+
+
+def live_internal_nodes():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) in (Join, Union))
+
+
+def test_enumeration_keeps_no_module_state():
+    """No cotree outlives the enumeration or search that built it."""
+    before = live_internal_nodes()
+    assert len(list(enumerate_cographs(9))) == 1532
+    search_minimal_obstructions(8, (2, 0, 0))
+    assert live_internal_nodes() == before
 
 
 def shape(tree):

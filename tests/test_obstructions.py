@@ -1,5 +1,6 @@
 """Tests for obstruction families, the minimality checker and search."""
 import concurrent.futures
+import inspect
 import json
 import os
 import random
@@ -39,6 +40,7 @@ from cographpart import (
     to_expr,
     vertex_arboricity,
 )
+from cographpart import obstructions
 
 from conftest import to_nx
 
@@ -423,3 +425,18 @@ def test_search_caps_jobs_at_cpu_count(monkeypatch):
     assert workers == ([] if cpus == 1 else [cpus])
     serial = search_minimal_obstructions(6, Triple(2, 0, 0))
     assert [r.to_json() for r in capped] == [r.to_json() for r in serial]
+
+
+def test_search_enumerates_once_per_vertex_count(monkeypatch):
+    """The search draws its cographs from one enumerate_cographs generator
+    per vertex count, so wrapping that name sees every cograph examined."""
+    assert inspect.isgeneratorfunction(enumerate_cographs)
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return enumerate_cographs(n)
+
+    monkeypatch.setattr(obstructions, "enumerate_cographs", counting)
+    search_minimal_obstructions(6, (2, 0, 0))
+    assert calls == [1, 2, 3, 4, 5, 6]
