@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from bisect import bisect_right
 from functools import partial
 from itertools import chain
 from typing import NamedTuple
@@ -72,7 +71,7 @@ def as_triple(value, what: str = "triple") -> Triple:
         if len(seq) != 3:
             raise ValueError(f"{what} must have exactly three components")
         t = Triple(*seq)
-    if not all(isinstance(x, int) and x >= 0 for x in t):
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in t):
         raise ValueError(f"{what} components must be nonnegative integers")
     return t
 
@@ -106,36 +105,22 @@ _combine_cache: dict = {}
 _COMBINE_CACHE_LIMIT = 1 << 18
 
 
-def _minimalize(cands) -> _FrontierT:
-    """Minimal antichain of a candidate set, sorted lexicographically."""
-    layers: dict[int, dict[int, int]] = {}
-    for a, b, c in cands:
-        layer = layers.setdefault(a, {})
-        old = layer.get(b)
-        if old is None or c < old:
-            layer[b] = c
+def _frontier(layers: list[dict[int, int]]) -> _FrontierT:
+    """Minimal antichain of the points held as layers[p][q] = r, sorted
+    lexicographically. Walking p upwards, env[q] is the least r kept so far
+    at any q' <= q; a point survives only when its r is below that."""
     out: list[tuple[int, int, int]] = []
-    stairs: list[tuple[list[int], list[int]]] = []
-    for a in sorted(layers):
-        layer = layers[a]
-        bs: list[int] = []
-        cs: list[int] = []
+    env = [float("inf")] * (max((max(layer) for layer in layers if layer), default=-1) + 1)
+    for a, layer in enumerate(layers):
         for b in sorted(layer):
             c = layer[b]
-            if cs and c >= cs[-1]:
-                continue
-            dominated = False
-            for sb, sc in stairs:
-                i = bisect_right(sb, b) - 1
-                if i >= 0 and sc[i] <= c:
-                    dominated = True
-                    break
-            if not dominated:
-                bs.append(b)
-                cs.append(c)
-        if bs:
-            stairs.append((bs, cs))
-            out.extend((a, b, c) for b, c in zip(bs, cs))
+            if c < env[b]:
+                out.append((a, b, c))
+                # env does not increase with q: lower it from b until it is at most c
+                q = b
+                while q < len(env) and env[q] > c:
+                    env[q] = c
+                    q += 1
     return tuple(out)
 
 
@@ -145,7 +130,8 @@ def _combine(kind: str, fl: _FrontierT, fr: _FrontierT, region: tuple[int, int, 
     if hit is not None:
         return hit
     P, PQ, PR = region
-    cands: list[tuple[int, int, int]] = []
+    # layers[p] maps q to the least r derived at (p, q), up to the largest derived p
+    layers: list[dict[int, int]] = []
     if kind == "U":
         for a, b, c in fl:
             for a2, b2, c2 in fr:
@@ -153,22 +139,30 @@ def _combine(kind: str, fl: _FrontierT, fr: _FrontierT, region: tuple[int, int, 
                 bb = b if b >= b2 else b2
                 cc = c + c2
                 if aa + bb <= PQ and aa + cc <= PR:
-                    cands.append((aa, bb, cc))
+                    while len(layers) <= aa:
+                        layers.append({})
+                    if layers[aa].get(bb, PR + 1) > cc:
+                        layers[aa][bb] = cc
     else:
         for a, b, c in fl:
             for a2, b2, c2 in fr:
                 # p + q and p + r of every derived triple are the pair's sums,
                 # independent of the crossing count
                 aa = a + a2
-                if aa + b + b2 > PQ or aa + c + c2 > PR:
+                q = b + b2
+                r = c + c2
+                if aa + q > PQ or aa + r > PR:
                     continue
-                tmax = min(c, b2) + min(b, c2)
-                room = P - aa
-                if tmax > room:
-                    tmax = room
-                for t in range(tmax + 1):
-                    cands.append((aa + t, b + b2 - t, c + c2 - t))
-    result = _minimalize(cands)
+                top = min(aa + min(c, b2) + min(b, c2), P)
+                while len(layers) <= top:
+                    layers.append({})
+                # t crossing stars put (aa + t, q - t, r - t) in layer aa + t
+                for layer in layers[aa:top + 1]:
+                    if layer.get(q, PR + 1) > r:
+                        layer[q] = r
+                    q -= 1
+                    r -= 1
+    result = _frontier(layers)
     if len(_combine_cache) >= _COMBINE_CACHE_LIMIT:
         _combine_cache.clear()
     # many keys share one frontier: keep a single copy of each, stored under
@@ -247,8 +241,12 @@ class TripleSet:
 
     @classmethod
     def from_json(cls, data: dict) -> TripleSet:
-        return cls(as_triple(data["box"], "box"),
-                   tuple(as_triple(t) for t in data["frontier"]))
+        """Raises ValueError on a frontier member outside the box."""
+        box = as_triple(data["box"], "box")
+        frontier = tuple(as_triple(t, "frontier member") for t in data["frontier"])
+        if not all(box.dominates(m) for m in frontier):
+            raise ValueError(f"a frontier member lies outside the box {tuple(box)}")
+        return cls(box, frontier)
 
 
 def feasible_set(graph_or_tree, box) -> TripleSet:

@@ -1,6 +1,8 @@
 """Tests for the cotree dynamic program, certificates and derived
 parameters."""
+import hashlib
 import random
+import tracemalloc
 from itertools import product
 
 import networkx as nx
@@ -32,7 +34,7 @@ from cographpart import (
     vertex_arboricity,
 )
 
-from cographpart.solver import _combine_cache
+from cographpart.solver import _combine, _combine_cache
 
 from conftest import from_nx, to_nx
 
@@ -147,6 +149,8 @@ def test_triple_set_json_round_trip():
     assert [0, 2, 0] in data["frontier"]
     back = TripleSet.from_json(data)
     assert back == ts
+    with pytest.raises(ValueError):
+        TripleSet.from_json({"box": [1, 1, 1], "frontier": [[5, 5, 5]]})
 
 
 def test_upward_and_exchange_closures():
@@ -181,6 +185,65 @@ def test_matches_oracle_exhaustively():
                     assert ts.contains(trip) == brute_force_partitionable(g, trip), (box, trip)
 
 
+# the pinned digest below depends on these boxes and their order
+DIGEST_BOXES = ((2, 2, 2),) + UNEVEN_BOXES + (
+    (3, 3, 3), (0, 0, 3), (1, 1, 1), (4, 0, 0), (0, 4, 0), (0, 0, 8), (1, 1, 8), (5, 5, 5))
+
+
+def test_frontier_digest_pinned():
+    """Every frontier of every cograph on up to 8 vertices, in enumeration
+    order, at each digest box: any change to a frontier changes the digest."""
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 9):
+        for t in enumerate_cographs(n):
+            for box in DIGEST_BOXES:
+                digest.update(repr(feasible_set(t, box)).encode())
+                count += 1
+    assert count == 809 * 14
+    assert digest.hexdigest() == "03eb9dfd4009262a2ef035d95a0819ef695195d3f9e013058e7deb7b9a497ed2"
+
+
+def _naive_minimal(triples):
+    return tuple(sorted(
+        t for t in triples
+        if not any(u != t and all(x >= y for x, y in zip(t, u)) for u in triples)))
+
+
+def _random_antichain(rng, region):
+    """Minimal antichain of 1..25 points in the region, drawn near a plane
+    a + b + c = s so that many of them are incomparable."""
+    P, PQ, PR = region
+    s = rng.randint(0, P + PQ + PR)
+    points = set()
+    for _ in range(rng.randint(1, 25)):
+        a = rng.randint(0, P)
+        b = rng.randint(0, PQ - a)
+        points.add((a, b, max(0, min(PR - a, s - a - b))))
+    return _naive_minimal(points)
+
+
+def test_combine_matches_naive_antichain():
+    """The combine kernel against the minimal antichain of every derive_union
+    or derive_join result inside the region, on frontiers far wider than the
+    oracle's graphs give."""
+    rng = random.Random(1212)
+    for _ in range(400):
+        P, Q, R = (rng.randint(0, 12) for _ in range(3))
+        region = (P, P + Q, P + R)
+        fl = _random_antichain(rng, region)
+        fr = _random_antichain(rng, region)
+
+        def inside(t):
+            return t.p <= P and t.p + t.q <= P + Q and t.p + t.r <= P + R
+
+        unions = [derive_union(tl, tr) for tl in fl for tr in fr]
+        joins = [d for tl in fl for tr in fr for d in derive_join(tl, tr)]
+        for kind, derived in (("U", unions), ("J", joins)):
+            want = _naive_minimal({tuple(d) for d in derived if inside(d)})
+            assert _combine(kind, fl, fr, region) == want, (kind, region, fl, fr)
+
+
 def test_fold_order_independence():
     rng = random.Random(29)
 
@@ -210,6 +273,20 @@ def test_memo_keeps_one_copy_of_each_frontier():
     distinct = set(results)
     assert len(results) > len(distinct)
     assert len({id(v) for v in results}) == len(distinct)
+
+
+def test_fold_builds_no_transient_candidate_list():
+    """A cold fold allocates little beyond the memo it keeps: memory at the
+    peak, minus what is still held at the end, stays under 2 MB."""
+    _combine_cache.clear()
+    tree = random_cotree(1000, 1003)
+    tracemalloc.start()
+    try:
+        vertex_arboricity(tree)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 2 << 20, (peak, held)
 
 
 def test_certificate_c4_bipartition():
@@ -474,7 +551,11 @@ def test_vertex_arboricity_across_the_bracket(dsl, rho):
 def test_accepts_graph_tree_and_tuple_inputs():
     assert is_partitionable(C4, Triple(0, 2, 0))
     assert is_partitionable(C4_TREE, [0, 2, 0])
+    # bools are ints to Python, but not budgets
+    for bad in ((0, -1, 0), (True, 0, 2), (0, 0, False)):
+        with pytest.raises(ValueError):
+            is_partitionable(C4, bad)
     with pytest.raises(ValueError):
-        is_partitionable(C4, (0, -1, 0))
+        extract_certificate(parse_expr("K(2)"), (True, 0, 0))
     with pytest.raises(TypeError):
         is_partitionable("C(U(2*K(2)))", (0, 2, 0))
