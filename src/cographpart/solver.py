@@ -102,7 +102,8 @@ def derive_join(tu, td) -> tuple[Triple, ...]:
 _FrontierT = tuple[tuple[int, int, int], ...]
 
 _combine_cache: dict = {}
-_COMBINE_CACHE_LIMIT = 1 << 18
+# cleared wholesale when full: a long run's memo stops growing early
+_COMBINE_CACHE_LIMIT = 1 << 14
 
 
 def _frontier(layers: list[dict[int, int]]) -> _FrontierT:
