@@ -8,54 +8,15 @@ partition certificates, derived parameters (vertex arboricity, chromatic
 number, feedback-style deletions), minimal-obstruction catalogs and
 search, and a budgeted brute-force oracle for cross-checking.
 """
+from . import cotree, obstructions, oracle, solver, strength
+from .cotree import *
 from .graph import Graph
-from .cotree import (
-    CotreeNode, Leaf, Union, Join, NotACographError,
-    union_of, join_of, complement_tree, relabel, leaf_count, leaves,
-    height, max_join_children, canonical_code,
-    parse_expr, to_expr, realize, find_p4, recognize,
-    enumerate_cographs, count_cographs, random_cotree, random_balanced_cotree,
-)
-from .solver import (
-    Triple, TripleSet, PartitionCertificate,
-    derive_union, derive_join, feasible_set, is_partitionable,
-    extract_certificate, check_partition,
-    vertex_arboricity, chromatic_number, min_deletions, min_q_feedback,
-)
-from .strength import StrengthProfile, strength_profile, q_from_strength
-from .oracle import (
-    OracleBudget, OracleBudgetExceeded,
-    brute_force_partitionable, brute_force_arboricity, brute_force_strength,
-)
-from .obstructions import (
-    FAMILY_A2_DSL, family_A2, family_Ap_dsl, family_Ap,
-    star_forests, family_Oi, iter_family_Oi, count_Oi, count_Oi_report,
-    OiCount, build_H, ObstructionReport, DeletionWitness, FeasibleWitness,
-    is_minimal_obstruction, contains_induced, is_family_free,
-    search_minimal_obstructions,
-)
+from .obstructions import *
+from .oracle import *
+from .solver import *
+from .strength import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "CotreeNode", "Leaf", "Union", "Join", "NotACographError",
-    "union_of", "join_of", "complement_tree", "relabel", "leaf_count",
-    "leaves", "height", "max_join_children", "canonical_code",
-    "parse_expr", "to_expr", "realize", "find_p4", "recognize",
-    "enumerate_cographs", "count_cographs", "random_cotree",
-    "random_balanced_cotree",
-    "Triple", "TripleSet", "PartitionCertificate",
-    "derive_union", "derive_join", "feasible_set", "is_partitionable",
-    "extract_certificate", "check_partition",
-    "vertex_arboricity", "chromatic_number", "min_deletions", "min_q_feedback",
-    "StrengthProfile", "strength_profile", "q_from_strength",
-    "OracleBudget", "OracleBudgetExceeded",
-    "brute_force_partitionable", "brute_force_arboricity", "brute_force_strength",
-    "FAMILY_A2_DSL", "family_A2", "family_Ap_dsl", "family_Ap",
-    "star_forests", "family_Oi", "iter_family_Oi", "count_Oi",
-    "count_Oi_report", "OiCount", "build_H",
-    "ObstructionReport", "DeletionWitness", "FeasibleWitness",
-    "is_minimal_obstruction", "contains_induced", "is_family_free",
-    "search_minimal_obstructions",
-]
+__all__ = ["Graph", *cotree.__all__, *solver.__all__, *strength.__all__,
+           *oracle.__all__, *obstructions.__all__]

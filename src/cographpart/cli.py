@@ -21,7 +21,7 @@ from .cotree import (
     NotACographError, count_cographs, enumerate_cographs,
     parse_expr, realize, recognize, to_expr,
 )
-from .graph import Graph
+from .graph import Graph, _ascii_int
 from .obstructions import (
     count_Oi_report, family_Ap, is_minimal_obstruction, iter_family_Oi,
     search_minimal_obstructions,
@@ -295,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("mindel", parents=[common], help="fewest deletions for fixed class budgets")
     _add_graph_input(s)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
+    s.add_argument("--p", type=_ascii_int, required=True)
+    s.add_argument("--q", type=_ascii_int, required=True)
     s.set_defaults(func=_cmd_mindel)
 
     s = sub.add_parser("certificate", parents=[common], help="concrete partition for a triple")
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_check)
 
     s = sub.add_parser("enumerate", parents=[common], help="all cographs of one order, up to isomorphism")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_ascii_int, required=True)
     s.add_argument("--count-only", action="store_true")
     s.add_argument("--format", choices=("dsl", "graph6"), default="dsl")
     s.set_defaults(func=_cmd_enumerate)
@@ -320,16 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_input(s)
     s.add_argument("--triple", required=True, metavar="p,q,r")
     budget = OracleBudget()
-    s.add_argument("--max-vertices", type=int, default=budget.max_vertices)
-    s.add_argument("--max-assignments", type=int, default=budget.max_assignments)
+    s.add_argument("--max-vertices", type=_ascii_int, default=budget.max_vertices)
+    s.add_argument("--max-assignments", type=_ascii_int, default=budget.max_assignments)
     s.set_defaults(func=_cmd_oracle)
 
     s = sub.add_parser("obstructions", help="catalogs, minimality reports, search")
     osub = s.add_subparsers(dest="obstructions_command", required=True)
 
     o = osub.add_parser("families", parents=[common], help="emit a known obstruction catalog")
-    o.add_argument("--p", type=int, default=2)
-    o.add_argument("--oi", type=int, default=None, metavar="I",
+    o.add_argument("--p", type=_ascii_int, default=2)
+    o.add_argument("--oi", type=_ascii_int, default=None, metavar="I",
                    help="emit the star-forest join family for this i instead")
     o.add_argument("--format", choices=("dsl", "graph6"), default="dsl")
     o.set_defaults(func=_cmd_obstructions_families)
@@ -340,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=_cmd_obstructions_check)
 
     o = osub.add_parser("search", parents=[common], help="all minimal obstructions up to a size")
-    o.add_argument("--n", type=int, required=True)
+    o.add_argument("--n", type=_ascii_int, required=True)
     o.add_argument("--goal", required=True, metavar="(p,q,r),...")
-    o.add_argument("--jobs", type=int, default=1)
+    o.add_argument("--jobs", type=_ascii_int, default=1)
     o.set_defaults(func=_cmd_obstructions_search)
 
     o = osub.add_parser("count", parents=[common], help="star-forest join family census for p, i")
-    o.add_argument("--p", type=int, required=True)
-    o.add_argument("--i", type=int, required=True)
+    o.add_argument("--p", type=_ascii_int, required=True)
+    o.add_argument("--i", type=_ascii_int, required=True)
     o.set_defaults(func=_cmd_obstructions_count)
 
     return parser

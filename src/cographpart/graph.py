@@ -12,12 +12,24 @@ int(s, 2) and writes them with format.
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = ["Graph", "iter_bits"]
 
 # the largest vertex count graph6 and sparse6 can write
 _MAX_ORDER = 68719476735
+
+# ASCII digits and an optional minus sign: int() alone also reads other
+# scripts' digits, underscores and a plus sign
+_INT = "-?[0-9]+"
+_EDGE_RE = re.compile(rf"({_INT})\s+({_INT})")
+
+
+def _ascii_int(text: str) -> int:
+    if not re.fullmatch(_INT, text):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -275,17 +287,15 @@ class Graph:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty edge list text")
-        try:
-            n = int(lines[0])
-        except ValueError:
-            raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from None
+        if not re.fullmatch(_INT, lines[0]):
+            raise ValueError(f"first line must be the vertex count, got {lines[0]!r}")
         edges = []
         for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
+            m = _EDGE_RE.fullmatch(ln)
+            if m is None:
                 raise ValueError(f"malformed edge line {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-        return cls.from_edge_list(n, edges)
+            edges.append((int(m[1]), int(m[2])))
+        return cls.from_edge_list(int(lines[0]), edges)
 
 
 def _strip_header(text: str, header: str) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from functools import partial
 from itertools import combinations_with_replacement, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
@@ -439,11 +438,15 @@ def is_family_free(graph, family) -> bool:
 # -- exhaustive search -------------------------------------------------
 
 
-def _search_chunk(args: tuple[list[CotreeNode], tuple[Triple, ...]]):
-    """Minimal obstructions among trees, in order. The test on the cotree
-    comes first, so only minimal obstructions pay for a report."""
-    trees, goal_t = args
-    return [is_minimal_obstruction(tree, goal_t) for tree in trees if _is_minimal(tree, goal_t)]
+def _search_stride(n_max: int, goal_t: tuple[Triple, ...], first: int, step: int):
+    """Minimal obstructions among every step-th cograph from the first-th on,
+    for each vertex count up to n_max, keyed by (n, enumeration index). The
+    test on the cotree comes first, so only minimal obstructions pay for a
+    report."""
+    return [((n, first + k * step), is_minimal_obstruction(tree, goal_t))
+            for n in range(1, n_max + 1)
+            for k, tree in enumerate(islice(enumerate_cographs(n), first, None, step))
+            if _is_minimal(tree, goal_t)]
 
 
 def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[ObstructionReport]:
@@ -452,28 +455,19 @@ def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[Obstruc
     Enumerates one representative per isomorphism class. Results come in
     enumeration order, which is by vertex count, then canonical code,
     independent of jobs. At most os.cpu_count() worker processes run,
-    however large jobs is.
+    however large jobs is. Worker k enumerates on its own and checks every
+    jobs-th cograph from the k-th on, so only reports cross to the parent.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     goal_t = _normalize_goal(goal)
-    trees = (tree for n in range(1, n_max + 1) for tree in enumerate_cographs(n))
-    batches = iter(lambda: list(islice(trees, 100)), [])    # until trees run out
-    chunks = ((batch, goal_t) for batch in batches)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        found = [item for chunk in chunks for item in _search_chunk(chunk)]
+        found = _search_stride(n_max, goal_t, 0, 1)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only parallel searches pay for it
-        found = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # a few chunks in flight per worker, so that the cotrees of the
-            # whole search are never in memory at once
-            running: deque = deque()
-            for chunk in chunks:
-                running.append(pool.submit(_search_chunk, chunk))
-                if len(running) > 2 * jobs:
-                    found.extend(running.popleft().result())
-            for future in running:
-                found.extend(future.result())
-    return found
+            strides = [pool.submit(_search_stride, n_max, goal_t, k, jobs) for k in range(jobs)]
+            # the keys are distinct, so sorting never compares two reports
+            found = sorted(item for stride in strides for item in stride.result())
+    return [report for _, report in found]

@@ -340,6 +340,14 @@ def test_goal_with_stray_text_exits_two(capsys, argv):
     assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
+BAD_INT_FLAGS = [
+    ["mindel", "--dsl", "K(3)", "--p", "\u0663", "--q", "0"],
+    ["enumerate", "--n", "1_0", "--count-only"],
+    ["obstructions", "search", "--n", "+3", "--goal", "(1,0,0)"],
+    ["oracle", "--dsl", "K(3)", "--triple", "1,0,0", "--max-vertices", " 12"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--dsl", "K(3)", "--triple", "(2,0,0"],
     ["solve", "--dsl", "K(3)", "--triple", "2,0,0)"],
@@ -347,10 +355,20 @@ def test_goal_with_stray_text_exits_two(capsys, argv):
     ["obstructions", "check", "--dsl", "K(4)", "--goal", "(\u0662,0,0)"],
     ["realize", "--dsl", "K(\u0663)"],
     ["realize", "--dsl", "K(\u00b2)"],
+    *BAD_INT_FLAGS,
 ], ids=["unclosed-triple", "unopened-triple", "arabic-indic-triple", "arabic-indic-goal",
-        "arabic-indic-dsl", "superscript-dsl"])
+        "arabic-indic-dsl", "superscript-dsl", "arabic-indic-flag", "underscore-flag",
+        "plus-flag", "space-flag"])
 def test_non_ascii_or_unbalanced_numbers_exit_two(capsys, argv):
-    """Numbers are ASCII digits, and a parenthesis opened is closed."""
+    """Numbers are ASCII digits, and a parenthesis opened is closed. argparse
+    reads the integer flags, so a bad one is a usage error on stderr."""
+    if argv in BAD_INT_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid _ascii_int value" in err
+        return
     code, out = run(capsys, *argv)
     assert code == 2
     lines = out.splitlines()
@@ -398,6 +416,16 @@ def test_human_output(capsys):
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
     assert "2" in out
+    code, out = run(capsys, "certificate", "--dsl", C4_DSL, "--triple", "1,0,1", "--human")
+    assert code == 0
+    assert out.splitlines() == [
+        "triple: [1, 0, 1]",
+        "labels:",
+        '  {"v": 0, "class": "F1"}',
+        '  {"v": 1, "class": "R"}',
+        '  {"v": 2, "class": "F1"}',
+        '  {"v": 3, "class": "F1"}',
+    ]
 
 
 def test_console_script_runs():

@@ -60,7 +60,8 @@ def assert_normalized(tree):
 
 
 def test_nodes_pickle_round_trip():
-    """Pool workers receive cotrees by pickle."""
+    """Nodes refuse assignment, so unpickling must not restore their slots
+    through __setattr__."""
     for tree in (Leaf(3), parse_expr("J(U(2*K(3)),I(2))"), random_cotree(60, 5)):
         back = pickle.loads(pickle.dumps(tree))
         assert type(back) is type(tree)

@@ -186,8 +186,11 @@ def test_sparse6_matches_networkx():
     sizes = chain((rng.randrange(1, 21) for _ in range(150)), LARGER_ORDERS * 3)
     graphs = (random_graph(rng, n, p=rng.choice([0.15, 0.5, 0.9])) for n in sizes)
     # n = 2**k with vertex n - 1 never reached: a 0 must go before the 1s of
-    # the padding, or they spell an edge to n - 1
-    for g in chain(graphs, [Graph.from_edge_list(4, [(0, 1)])]):
+    # the padding, or they spell an edge to n - 1; then the last order with
+    # an 18-bit "~" header and the first with a 36-bit "~~" one
+    edge_cases = [Graph.from_edge_list(4, [(0, 1)])] + [
+        Graph.from_edge_list(n, [(0, n - 1), (1, n // 2)]) for n in (258047, 258048)]
+    for g in chain(graphs, edge_cases):
         expected = nx.to_sparse6_bytes(to_nx(g), header=False).strip().decode()
         assert g.to_sparse6() == expected
         assert Graph.from_sparse6(expected) == g
@@ -226,6 +229,12 @@ def test_edge_list_text_round_trip():
         Graph.from_edge_list_text("2\n0\n")
     with pytest.raises(ValueError):
         Graph.from_edge_list_text("")
+    # ASCII digits and an optional minus only: int() alone reads all of these
+    for text in ("12\n1_1 0\n", "2\n+0 1\n", "2\n\u0661 0\n", "\u0663\n", "1_2\n"):
+        with pytest.raises(ValueError):
+            Graph.from_edge_list_text(text)
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edge_list_text("2\n0 -1\n")
 
 
 def test_equality_and_hash():

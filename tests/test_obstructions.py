@@ -40,7 +40,7 @@ from cographpart import (
     to_expr,
     vertex_arboricity,
 )
-from cographpart import obstructions
+from cographpart import cotree, obstructions
 
 from conftest import to_nx
 
@@ -402,6 +402,8 @@ def test_search_matches_slow_reference(goal):
 
 
 def test_search_caps_jobs_at_cpu_count(monkeypatch):
+    """Also with three CPUs: three strides run, and at n = 1 and n = 2 there
+    are fewer cographs than strides."""
     workers = []
 
     class InProcessPool:
@@ -420,11 +422,28 @@ def test_search_caps_jobs_at_cpu_count(monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    capped = search_minimal_obstructions(6, Triple(2, 0, 0), jobs=10**6)
-    cpus = os.cpu_count() or 1
-    assert workers == ([] if cpus == 1 else [cpus])
-    serial = search_minimal_obstructions(6, Triple(2, 0, 0))
-    assert [r.to_json() for r in capped] == [r.to_json() for r in serial]
+    for cpus, n_max in ((os.cpu_count() or 1, 6), (3, 8)):
+        workers.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "cpu_count", lambda: cpus)
+            capped = search_minimal_obstructions(n_max, Triple(2, 0, 0), jobs=10**6)
+        assert workers == ([] if cpus == 1 else [cpus])
+        serial = search_minimal_obstructions(n_max, Triple(2, 0, 0))
+        assert [r.to_json() for r in capped] == [r.to_json() for r in serial]
+
+
+def test_search_pickles_no_cotree(monkeypatch):
+    """Each worker enumerates its own stride, so only reports cross a
+    process boundary."""
+    serial = search_minimal_obstructions(7, (2, 0, 0))
+
+    def refuse(node):
+        raise TypeError("a cotree was pickled")
+
+    monkeypatch.setattr(cotree._Node, "__reduce__", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parallel = search_minimal_obstructions(7, (2, 0, 0), jobs=2)
+    assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
 
 
 def test_search_enumerates_once_per_vertex_count(monkeypatch):
