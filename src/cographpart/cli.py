@@ -21,7 +21,7 @@ from .cotree import (
     NotACographError, count_cographs, enumerate_cographs,
     parse_expr, realize, recognize, to_expr,
 )
-from .graph import Graph, _ascii_int
+from .graph import Graph
 from .obstructions import (
     count_Oi_report, family_Ap, is_minimal_obstruction, iter_family_Oi,
     search_minimal_obstructions,
@@ -38,6 +38,12 @@ from .strength import strength_profile
 # ASCII digits only: int() would also read other scripts' digits
 _GOAL_ITEM = r"\(\s*[0-9]+\s*,\s*[0-9]+\s*,\s*[0-9]+\s*\)|[0-9]+\s*,\s*[0-9]+\s*,\s*[0-9]+"
 _GOAL_RE = re.compile(rf"(?:{_GOAL_ITEM})(?:(?:\s*,\s*|\s+)(?:{_GOAL_ITEM}))*")
+
+
+def _ascii_int(text: str) -> int:
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _parse_triple(text: str) -> Triple:
@@ -180,7 +186,12 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         _emit(args, {"n": args.n, "count": count_cographs(args.n)})
         return 0
-    for tree in enumerate_cographs(args.n):
+    return _emit_trees(args, enumerate_cographs(args.n))
+
+
+def _emit_trees(args, trees) -> int:
+    """One line per tree, in graph6 or in the DSL as --format asks."""
+    for tree in trees:
         if args.format == "graph6":
             _emit(args, {"graph6": realize(tree).to_graph6()})
         else:
@@ -200,15 +211,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_obstructions_families(args) -> int:
     if args.oi is not None:
-        trees = list(iter_family_Oi(args.p, args.oi))
-    else:
-        trees = family_Ap(args.p)
-    for tree in trees:
-        if args.format == "graph6":
-            _emit(args, {"graph6": realize(tree).to_graph6()})
-        else:
-            _emit(args, {"dsl": to_expr(tree)})
-    return 0
+        return _emit_trees(args, list(iter_family_Oi(args.p, args.oi)))
+    return _emit_trees(args, family_Ap(args.p))
 
 
 def _cmd_obstructions_check(args) -> int:

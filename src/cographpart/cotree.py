@@ -400,39 +400,6 @@ def recognize(graph: Graph) -> CotreeNode | None:
     return _unfold((1 << graph.n) - 1, expand)
 
 
-def _delete_leaf(tree: CotreeNode, vertex: int) -> CotreeNode | None:
-    """Cotree of the graph without vertex, None when no vertex is left.
-
-    The result is the tree recognize builds for the induced subgraph: it is
-    normalized, each node's children are ordered by their least leaf, and
-    every leaf id above vertex is one lower.
-    """
-    # a subtree's value is (least leaf, node, the values of its children)
-    def leaf(l: Leaf):
-        v = l.vertex - (l.vertex > vertex)
-        return None if l.vertex == vertex else (v, Leaf(v), ())
-
-    def node(n: CotreeNode, kids: list):
-        # a lone remaining child is lifted; a child of n's own kind, such as
-        # one lifted from below, has its children spliced into n
-        if None in kids:
-            kids.remove(None)
-        if len(kids) <= 1:
-            return kids[0] if kids else None
-        kind = type(n)
-        parts = []
-        for k in kids:
-            if type(k[1]) is kind:
-                parts += k[2]
-            else:
-                parts.append(k)
-        parts.sort(key=itemgetter(0))
-        return parts[0][0], kind(tuple([part[1] for part in parts])), parts
-
-    rest = _fold(tree, leaf, node)
-    return None if rest is None else rest[1]
-
-
 def _coerce_tree(graph_or_tree) -> CotreeNode | None:
     """Cotree of a Graph or cotree input; None, as from recognize, stands for
     the empty graph."""

@@ -26,12 +26,6 @@ _INT = "-?[0-9]+"
 _EDGE_RE = re.compile(rf"({_INT})\s+({_INT})")
 
 
-def _ascii_int(text: str) -> int:
-    if not re.fullmatch(_INT, text):
-        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
-    return int(text)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in ascending order."""
     while mask:

@@ -20,12 +20,14 @@ from itertools import combinations_with_replacement, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .cotree import (
-    CotreeNode, Leaf, _as_graph, _coerce_tree, _delete_leaf, _fold, canonical_code,
+    CotreeNode, Leaf, _as_graph, _coerce_tree, _fold, canonical_code,
     complement_tree, enumerate_cographs, join_of, parse_expr, realize,
     relabel, to_expr, union_of,
 )
 from .graph import Graph, iter_bits
-from .solver import Triple, as_triple, chromatic_number, extract_certificate, feasible_set
+from .solver import (
+    Triple, _certificate, _feasible_set, as_triple, chromatic_number, extract_certificate,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -297,10 +299,12 @@ def _normalize_goal(goal) -> tuple[Triple, ...]:
     return tuple(triples)
 
 
-def _first_feasible(tree: CotreeNode | None, goal_t: tuple[Triple, ...]) -> Triple | None:
-    """The first goal triple that tree admits, None when it admits none; one
-    fold at the least box that holds every goal triple decides them all."""
-    fs = feasible_set(tree, Triple(*map(max, zip(*goal_t))))
+def _first_feasible(tree: CotreeNode | None, goal_t: tuple[Triple, ...],
+                    without: int | None = None) -> Triple | None:
+    """The first goal triple that tree's graph admits, less the vertex without
+    when given, or None; one fold at the least box that holds every goal
+    triple decides them all."""
+    fs = _feasible_set(tree, Triple(*map(max, zip(*goal_t))), without)
     return next((t for t in goal_t if fs.contains(t)), None)
 
 
@@ -320,7 +324,7 @@ def _failing_vertex(tree: CotreeNode, goal_t: tuple[Triple, ...]) -> int | None:
 
     _fold(tree, lambda _: None, node)
     return next((v for v in sorted(least)
-                 if _first_feasible(_delete_leaf(tree, v), goal_t) is None), None)
+                 if _first_feasible(tree, goal_t, v) is None), None)
 
 
 def _is_minimal(tree: CotreeNode, goal_t: tuple[Triple, ...]) -> bool:
@@ -332,9 +336,9 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
     """Evaluate both obstruction conditions and collect witnesses.
 
     Condition one: the graph is partitionable for no goal triple. Condition
-    two: each one-vertex deletion is partitionable for some goal triple;
-    deletions are taken on the cotree, which yields the same tree as
-    recognizing the induced subgraph. A failed first condition reports a
+    two: each one-vertex deletion is partitionable for some goal triple.
+    A deletion is decided and certified on the cotree itself, whose fold
+    treats the deleted leaf as absent. A failed first condition reports a
     counterexample certificate, a failed second one the least failing
     vertex, and a passing second condition one witness certificate per
     vertex, labels carried against the original vertex ids.
@@ -359,9 +363,8 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
     witnesses = []
     for v in range(graph.n):
         rest = [u for u in range(graph.n) if u != v]
-        subtree = _delete_leaf(tree, v)
-        found = _first_feasible(subtree, goal_t)
-        labels = extract_certificate(subtree, found).labels
+        found = _first_feasible(tree, goal_t, v)
+        labels = _certificate(tree, found, v).labels
         witnesses.append(DeletionWitness(v, found, tuple(zip(rest, labels))))
     return report(is_obstruction=True, is_minimal=True, witnesses=tuple(witnesses))
 

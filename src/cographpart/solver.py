@@ -105,6 +105,11 @@ _combine_cache: dict = {}
 # cleared wholesale when full: a long run's memo stops growing early
 _COMBINE_CACHE_LIMIT = 1 << 14
 
+# a deleted vertex's frontier, the identity of both combines: a union takes
+# (max, max, sum), a join then crosses min(0, .) + min(0, .) = 0 stars.
+# _combine returns the other operand itself, since certificates split in its order
+_ABSENT: _FrontierT = ((0, 0, 0),)
+
 
 def _frontier(layers: list[dict[int, int]]) -> _FrontierT:
     """Minimal antichain of the points held as layers[p][q] = r, sorted
@@ -126,6 +131,10 @@ def _frontier(layers: list[dict[int, int]]) -> _FrontierT:
 
 
 def _combine(kind: str, fl: _FrontierT, fr: _FrontierT, region: tuple[int, int, int]) -> _FrontierT:
+    if fl is _ABSENT:
+        return fr
+    if fr is _ABSENT:
+        return fl
     key = (kind, *region, fl, fr)
     hit = _combine_cache.get(key)
     if hit is not None:
@@ -183,6 +192,13 @@ def _leaf_frontier(region: tuple[int, int, int]) -> _FrontierT:
     if PR >= 1:
         cands.append((0, 0, 1))
     return tuple(cands)
+
+
+def _leaves_but(without: int | None, value, absent):
+    """Fold leaf callback: absent at vertex without, value at every other leaf."""
+    if without is None:  # so that a fold deleting nothing tests no leaf
+        return lambda _: value
+    return lambda leaf: absent if leaf.vertex == without else value
 
 
 def _prefix_frontiers(node: CotreeNode, fronts: list[_FrontierT], region: tuple) -> list[_FrontierT]:
@@ -253,12 +269,15 @@ class TripleSet:
 def feasible_set(graph_or_tree, box) -> TripleSet:
     """TripleSet of all feasible triples of the input within box."""
     box = as_triple(box, "box")
-    tree = _coerce_tree(graph_or_tree)
+    return _feasible_set(_coerce_tree(graph_or_tree), box)
+
+
+def _feasible_set(tree: CotreeNode | None, box: Triple, without: int | None = None) -> TripleSet:
+    """feasible_set of tree, or of its graph without vertex without."""
     if tree is None:
         return TripleSet(box, (Triple(0, 0, 0),))
     region = (box.p, box.p + box.q, box.p + box.r)
-    leaf = _leaf_frontier(region)
-    work = _fold(tree, lambda _: leaf,
+    work = _fold(tree, _leaves_but(without, _leaf_frontier(region), _ABSENT),
                  lambda node, fronts: _prefix_frontiers(node, fronts, region)[-1])
     frontier = tuple(
         Triple(a, b, c) for a, b, c in work
@@ -314,7 +333,12 @@ def _parse_label(label: str) -> tuple[str, int]:
 
 
 def _find_split(kind: str, fl: _FrontierT, fr: _FrontierT, target: Triple):
-    """First (left, right, crossing) choice whose derived triple fits target."""
+    """First (left, right, crossing) choice whose derived triple fits target;
+    an absent side takes nothing and leaves the whole target to the other."""
+    if fl is _ABSENT:
+        return Triple(0, 0, 0), target, 0
+    if fr is _ABSENT:
+        return target, Triple(0, 0, 0), 0
     tp, tq, tr = target
     for a, b, c in fl:
         for a2, b2, c2 in fr:
@@ -418,13 +442,18 @@ def extract_certificate(graph_or_tree, triple) -> PartitionCertificate:
             leaf ids of a cotree are not a bijection with 0..n-1.
     """
     t = as_triple(triple)
-    tree = _coerce_tree(graph_or_tree)
+    return _certificate(_coerce_tree(graph_or_tree), t)
+
+
+def _certificate(tree: CotreeNode | None, t: Triple, without: int | None = None) -> PartitionCertificate:
+    """extract_certificate of tree, or of its graph without vertex without;
+    the labels then skip that vertex."""
     if tree is None:
         return PartitionCertificate(t, ())
     region = (t.p, t.p + t.q, t.p + t.r)
     # bottom-up: per node, its prefix frontiers and its children's entries
     leaf = ((_leaf_frontier(region),), ())
-    info = _fold(tree, lambda _: leaf, lambda node, kids: (
+    info = _fold(tree, _leaves_but(without, leaf, ((_ABSENT,), ())), lambda node, kids: (
         _prefix_frontiers(node, [k[0][-1] for k in kids], region), kids))
     if not any(t.dominates(Triple(*m)) for m in info[0][-1]):
         raise ValueError(f"no ({t.p}, {t.q}, {t.r})-partition exists")
@@ -433,7 +462,7 @@ def extract_certificate(graph_or_tree, triple) -> PartitionCertificate:
         """Split a node's target over its children, last child first."""
         node, (prefixes, kids), target = seed
         if isinstance(node, Leaf):
-            return {_leaf_label(target): [node.vertex]}, ()
+            return ({} if node.vertex == without else {_leaf_label(target): [node.vertex]}), ()
         kind = "U" if isinstance(node, Union) else "J"
         targets = [target] * len(kids)
         splits = [None] * len(kids)
@@ -445,14 +474,15 @@ def extract_certificate(graph_or_tree, triple) -> PartitionCertificate:
 
     classes = _unfold((tree, info, t), expand)
     ids = sorted(chain.from_iterable(classes.values()))
-    if ids != list(range(len(ids))):
+    n = len(ids) + (without is not None)
+    if ids != [v for v in range(n) if v != without]:
         raise ValueError("leaf ids are not a bijection with 0..n-1")
-    labels = [""] * len(ids)
+    labels = [""] * n
     for (kind, idx), vs in classes.items():
         label = "R" if kind == "R" else f"{kind}{idx}"
         for v in vs:
             labels[v] = label
-    return PartitionCertificate(t, tuple(labels))
+    return PartitionCertificate(t, tuple(labels[v] for v in ids))
 
 
 def check_partition(graph, certificate, triple) -> bool:

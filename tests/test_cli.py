@@ -367,7 +367,8 @@ def test_non_ascii_or_unbalanced_numbers_exit_two(capsys, argv):
             main(argv)
         assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert out == "" and "invalid _ascii_int value" in err
+        assert out == "" and "expected an integer in ASCII digits, got" in err
+        assert "_ascii_int" not in err
         return
     code, out = run(capsys, *argv)
     assert code == 2

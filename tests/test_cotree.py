@@ -15,11 +15,15 @@ from cographpart import (
     Join,
     Leaf,
     NotACographError,
+    Triple,
     Union,
     canonical_code,
+    check_partition,
     complement_tree,
     count_cographs,
     enumerate_cographs,
+    extract_certificate,
+    feasible_set,
     find_p4,
     height,
     join_of,
@@ -38,7 +42,7 @@ from cographpart import (
 )
 
 from cographpart import cotree
-from cographpart.cotree import _delete_leaf
+from cographpart.solver import _certificate, _feasible_set
 
 from conftest import from_nx, has_p4_brute
 
@@ -315,15 +319,6 @@ def test_enumeration_keeps_no_module_state():
     assert live_internal_nodes() == before
 
 
-def shape(tree):
-    """Node types, child order and leaf ids of a cotree, as nested tuples."""
-    if tree is None:
-        return None
-    if isinstance(tree, Leaf):
-        return tree.vertex
-    return type(tree).__name__, tuple(shape(c) for c in tree.children)
-
-
 def scrambled(tree, rng):
     """Copy of tree with its leaf ids permuted and every child list shuffled."""
     perm = list(range(leaf_count(tree)))
@@ -339,31 +334,58 @@ def scrambled(tree, rng):
     return build(tree)
 
 
-def assert_deletions_match_recognize(tree):
+DELETION_BOXES = [Triple(2, 0, 0), Triple(1, 1, 0), Triple(0, 2, 1), Triple(1, 1, 1)]
+
+
+def collapsing_vertices(tree):
+    """Leaves with a single sibling: deleting one leaves its parent with one
+    child, which the recognized subgraph's tree splices into the grandparent."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            continue
+        stack.extend(node.children)
+        if len(node.children) == 2:
+            out.update(c.vertex for c in node.children if isinstance(c, Leaf))
+    return out
+
+
+def assert_deletions_match_recognize(tree, ordered):
+    """Folding tree with one leaf sent to the absent frontier gives the
+    frontier of the induced subgraph without that vertex, and certifies each
+    feasible box with labels for the other vertices. When tree's children
+    come in left-to-right leaf order and no node collapses, the labels are
+    those certified on the recognized subgraph."""
     graph = realize(tree)
+    same_labels = set(range(graph.n)) - collapsing_vertices(tree) if ordered else set()
     for v in range(graph.n):
         rest = [u for u in range(graph.n) if u != v]
-        got = _delete_leaf(tree, v)
-        assert shape(got) == shape(recognize(graph.induced_subgraph(rest)))
-        if got is not None:
-            assert_normalized(got)
+        sub = graph.induced_subgraph(rest)
+        subtree = recognize(sub)
+        for box in DELETION_BOXES:
+            got = _feasible_set(tree, box, v)
+            assert got == feasible_set(subtree, box)
+            if got.contains(box):
+                cert = _certificate(tree, box, v)
+                assert check_partition(sub, cert, box)
+                if v in same_labels:
+                    assert cert.labels == extract_certificate(subtree, box).labels
 
 
-def test_delete_leaf_matches_recognize():
-    """Deleting a leaf on the cotree builds exactly the tree that recognize
-    finds for the induced subgraph: the same node types, child order and
-    leaf ids, not only the same canonical code."""
+def test_deletion_fold_matches_recognize():
+    """Deciding and certifying G - v on G's own cotree agrees with
+    recognizing the induced subgraph: on every cograph with at most 8
+    vertices, and on random cotrees whose leaf ids and child order are not
+    the left-to-right ones that enumeration and parsing give."""
     for n in range(1, 9):
         for tree in enumerate_cographs(n):
-            assert_deletions_match_recognize(tree)
-
-
-def test_delete_leaf_matches_recognize_scrambled():
-    """The same on random cotrees whose leaf ids and child order are not the
-    left-to-right ones that enumeration and parsing give."""
+            assert_deletions_match_recognize(tree, ordered=True)
     rng = random.Random(97)
     for _ in range(200):
-        assert_deletions_match_recognize(scrambled(random_cotree(rng.randrange(9, 41), rng), rng))
+        tree = scrambled(random_cotree(rng.randrange(9, 41), rng), rng)
+        assert_deletions_match_recognize(tree, ordered=False)
 
 
 def test_enumerate_order_pinned():

@@ -252,7 +252,26 @@ def test_is_minimal_obstruction_feasible_graph():
      '{"graph6": "B?", "dsl": "I(3)", "goal": [[0, 1, 0], [1, 0, 0]], '
      '"obstruction": false, "minimal": false, '
      '"counterexample": {"triple": [0, 1, 0], "labels": ["Q1", "Q1", "Q1"]}}'),
-], ids=["minimal", "failing-vertex", "counterexample"])
+    # deleting vertex 4 leaves the union U(K(1),K(2)) with K(2) alone under
+    # it; the witness splits the root join with K(2) kept there, not spliced in
+    ("J(I(2),I(2),U(K(1),K(2)))", (2, 0, 0),
+     '{"graph6": "F]~vg", "dsl": "J(I(2),I(2),U(K(1),K(2)))", "goal": [[2, 0, 0]], '
+     '"obstruction": true, "minimal": true, "witnesses": ['
+     '{"vertex": 0, "triple": [2, 0, 0], "labels": '
+     '[[1, "F1"], [2, "F2"], [3, "F2"], [4, "F1"], [5, "F1"], [6, "F2"]]}, '
+     '{"vertex": 1, "triple": [2, 0, 0], "labels": '
+     '[[0, "F1"], [2, "F2"], [3, "F2"], [4, "F1"], [5, "F1"], [6, "F2"]]}, '
+     '{"vertex": 2, "triple": [2, 0, 0], "labels": '
+     '[[0, "F2"], [1, "F2"], [3, "F1"], [4, "F1"], [5, "F1"], [6, "F2"]]}, '
+     '{"vertex": 3, "triple": [2, 0, 0], "labels": '
+     '[[0, "F2"], [1, "F2"], [2, "F1"], [4, "F1"], [5, "F1"], [6, "F2"]]}, '
+     '{"vertex": 4, "triple": [2, 0, 0], "labels": '
+     '[[0, "F1"], [1, "F1"], [2, "F2"], [3, "F2"], [5, "F1"], [6, "F2"]]}, '
+     '{"vertex": 5, "triple": [2, 0, 0], "labels": '
+     '[[0, "F1"], [1, "F1"], [2, "F2"], [3, "F2"], [4, "F1"], [6, "F2"]]}, '
+     '{"vertex": 6, "triple": [2, 0, 0], "labels": '
+     '[[0, "F1"], [1, "F1"], [2, "F2"], [3, "F2"], [4, "F1"], [5, "F2"]]}]}'),
+], ids=["minimal", "failing-vertex", "counterexample", "collapse"])
 def test_report_json_pinned(dsl, goal, text):
     assert json.dumps(is_minimal_obstruction(parse_expr(dsl), goal).to_json()) == text
 
