@@ -374,14 +374,18 @@ def assert_deletions_match_recognize(tree, ordered):
                     assert cert.labels == extract_certificate(subtree, box).labels
 
 
-def test_deletion_fold_matches_recognize():
-    """Deciding and certifying G - v on G's own cotree agrees with
-    recognizing the induced subgraph: on every cograph with at most 8
-    vertices, and on random cotrees whose leaf ids and child order are not
-    the left-to-right ones that enumeration and parsing give."""
+def test_delete_leaf_matches_recognize():
+    """Deleting a leaf by folding G's own cotree with that leaf absent decides
+    and certifies G - v as recognizing the induced subgraph does, on every
+    cograph with at most 8 vertices."""
     for n in range(1, 9):
         for tree in enumerate_cographs(n):
             assert_deletions_match_recognize(tree, ordered=True)
+
+
+def test_delete_leaf_matches_recognize_scrambled():
+    """The same on random cotrees whose leaf ids and child order are not the
+    left-to-right ones that enumeration and parsing give."""
     rng = random.Random(97)
     for _ in range(200):
         tree = scrambled(random_cotree(rng.randrange(9, 41), rng), rng)
