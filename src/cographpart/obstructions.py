@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 import os
 from functools import partial
-from itertools import combinations_with_replacement, islice
+from itertools import accumulate, combinations_with_replacement, islice
+from operator import gt, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .cotree import (
@@ -375,64 +376,70 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
 def contains_induced(host, pattern) -> bool:
     """True when some vertex subset of host induces a copy of pattern.
 
-    Exact backtracking: pattern vertices are matched in an order that keeps
-    each new vertex adjacent to already-placed ones where possible, and
-    candidates are pruned by degree and co-degree.
+    Domain propagation (Ullmann 1976), after cheap rejects: more vertices
+    or edges than the host, or a degree sequence the host's does not
+    dominate (the i-th largest pattern degree above the i-th largest host
+    degree). Each pattern vertex keeps a bitmask of the host vertices it
+    may take. Placing one on host vertex x ANDs each later mask with x's
+    row where the pattern has that edge and with x's non-neighbours where
+    not, so the masks alone keep the copy induced and its vertices
+    distinct, and an empty mask ends the branch. Twins may swap images, so
+    a later twin takes a lower host vertex. The masks live on an explicit
+    stack, so no pattern is too large for the recursion limit.
     """
     h = _as_graph(host)
     pat = _as_graph(pattern)
-    if pat.n == 0:
+    k, n = pat.n, h.n
+    if k == 0:
         return True
-    if pat.n > h.n:
+    if k > n:
+        return False
+    prows = list(map(pat.row, range(k)))
+    hrows = list(map(h.row, range(n)))
+    pdeg = list(map(int.bit_count, prows))
+    hdeg = list(map(int.bit_count, hrows))
+    if sum(pdeg) > sum(hdeg) or any(map(gt, sorted(pdeg, reverse=True), sorted(hdeg, reverse=True))):
         return False
 
-    pdeg = [pat.degree(v) for v in range(pat.n)]
-    order: list[int] = []
-    placed = 0
-    for _ in range(pat.n):
-        best = max(
-            (v for v in range(pat.n) if not placed >> v & 1),
-            key=lambda v: (bin(pat.row(v) & placed).count("1"), pdeg[v], -v))
-        order.append(best)
-        placed |= 1 << best
-    placed_before = []
-    acc = 0
-    for v in order:
-        placed_before.append(acc)
-        acc |= 1 << v
-
-    hdeg = [h.degree(x) for x in range(h.n)]
-    cands = []
-    for v in order:
-        mask = 0
-        codeg = pat.n - 1 - pdeg[v]
-        for x in range(h.n):
-            if hdeg[x] >= pdeg[v] and h.n - 1 - hdeg[x] >= codeg:
-                mask |= 1 << x
-        cands.append(mask)
-
-    image = [0] * pat.n  # host bit chosen for each pattern vertex
-
-    def walk(i: int, used: int) -> bool:
-        if i == pat.n:
-            return True
-        v = order[i]
-        required = 0
-        for u in iter_bits(pat.row(v) & placed_before[i]):
-            required |= image[u]
-        for x in iter_bits(cands[i] & ~used):
-            bit = 1 << x
-            if h.row(x) & used == required:
-                image[v] = bit
-                if walk(i + 1, used | bit):
-                    return True
-        return False
-
-    return walk(0, 0)
+    # most placed neighbours first, then the highest degree, then the least id
+    score = [d * k + k - 1 - v for v, d in enumerate(pdeg)]
+    order = []
+    for _ in range(k):
+        v = score.index(max(score))
+        order.append(v)
+        score[v] = -k ** 3  # below anything placed neighbours can add
+        for u in iter_bits(prows[v]):
+            score[u] += k * k
+    below = [0] * (n + 1)  # below[d]: the host vertices of degree under d
+    for x, d in enumerate(hdeg):
+        below[d + 1] |= 1 << x
+    below = list(accumulate(below, or_))
+    doms = [below[n - k + pdeg[v] + 1] ^ below[pdeg[v]] for v in order]
+    # kinds[i][j] for the i-th and the (i+1+j)-th placed: 1 for an edge, plus 2 for twins
+    kinds = [[(prows[v] >> u & 1) | 2 * ((prows[v] ^ prows[u]) & ~(1 << u | 1 << v) == 0)
+              for u in order[i + 1:]] for i, v in enumerate(order)]
+    full = (1 << n) - 1
+    stack = [(doms, doms[0])] if all(doms) else []
+    while stack:
+        doms, left = stack.pop()
+        x = left.bit_length() - 1
+        bit = 1 << x
+        if left ^ bit:
+            stack.append((doms, left ^ bit))
+        non = full ^ hrows[x] ^ bit
+        sel = (non, hrows[x], non & (bit - 1), hrows[x] & (bit - 1))
+        later = [d & sel[c] for d, c in zip(doms[1:], kinds[k - len(doms)])]
+        if all(later):
+            if not later:
+                return True
+            stack.append((later, later[0]))
+    return False
 
 
 def is_family_free(graph, family) -> bool:
-    """True when no family member occurs as an induced subgraph."""
+    """True when no family member occurs as an induced subgraph: one
+    contains_induced call per member tried, smallest first, whose degree
+    test settles most before any mask is built, and none recurses."""
     g = _as_graph(graph)
     members = sorted((_as_graph(m) for m in family), key=lambda m: m.n)
     return not any(contains_induced(g, m) for m in members)

@@ -4,9 +4,10 @@ import inspect
 import json
 import os
 import random
+import sys
 from concurrent.futures import Future
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -41,6 +42,8 @@ from cographpart import (
     vertex_arboricity,
 )
 from cographpart import cotree, obstructions
+from cographpart.cotree import _as_graph
+from cographpart.graph import iter_bits
 
 from conftest import to_nx
 
@@ -346,6 +349,167 @@ def test_contains_induced_matches_subset_scan():
             nx.is_isomorphic(to_nx(host.induced_subgraph(sub)), to_nx(pat))
             for sub in combinations(range(hn), pn))
         assert contains_induced(host, pat) == slow
+
+
+def _slow_contains_induced(host, pattern) -> bool:
+    """True when some vertex subset of host induces a copy of pattern.
+
+    The recursive backtracking that contains_induced replaced, kept
+    verbatim as a slow reference.
+
+    Exact backtracking: pattern vertices are matched in an order that keeps
+    each new vertex adjacent to already-placed ones where possible, and
+    candidates are pruned by degree and co-degree.
+    """
+    h = _as_graph(host)
+    pat = _as_graph(pattern)
+    if pat.n == 0:
+        return True
+    if pat.n > h.n:
+        return False
+
+    pdeg = [pat.degree(v) for v in range(pat.n)]
+    order: list[int] = []
+    placed = 0
+    for _ in range(pat.n):
+        best = max(
+            (v for v in range(pat.n) if not placed >> v & 1),
+            key=lambda v: (bin(pat.row(v) & placed).count("1"), pdeg[v], -v))
+        order.append(best)
+        placed |= 1 << best
+    placed_before = []
+    acc = 0
+    for v in order:
+        placed_before.append(acc)
+        acc |= 1 << v
+
+    hdeg = [h.degree(x) for x in range(h.n)]
+    cands = []
+    for v in order:
+        mask = 0
+        codeg = pat.n - 1 - pdeg[v]
+        for x in range(h.n):
+            if hdeg[x] >= pdeg[v] and h.n - 1 - hdeg[x] >= codeg:
+                mask |= 1 << x
+        cands.append(mask)
+
+    image = [0] * pat.n  # host bit chosen for each pattern vertex
+
+    def walk(i: int, used: int) -> bool:
+        if i == pat.n:
+            return True
+        v = order[i]
+        required = 0
+        for u in iter_bits(pat.row(v) & placed_before[i]):
+            required |= image[u]
+        for x in iter_bits(cands[i] & ~used):
+            bit = 1 << x
+            if h.row(x) & used == required:
+                image[v] = bit
+                if walk(i + 1, used | bit):
+                    return True
+        return False
+
+    return walk(0, 0)
+
+
+def test_contains_induced_matches_slow_reference_on_cographs():
+    """Every call is_family_free makes for family_A2 on every 10-vertex
+    cograph, and the one-forest patterns K(q+3) and C(U((q+2)*K(2))) for
+    q <= 3 on every 9-vertex cograph. Each one-forest chain grows by
+    induced subgraphs, so once the reference finds a member absent, the
+    larger ones are absent too. (The full cross product on 10 vertices
+    takes the reference about 17 s.)"""
+    family = sorted((realize(t) for t in family_A2()), key=lambda m: m.n)
+    for tree in enumerate_cographs(10):
+        g = realize(tree)
+        for member in family:
+            want = _slow_contains_induced(g, member)
+            assert contains_induced(g, member) == want
+            if want:
+                break
+    chains = [[Graph.complete(q + 3) for q in range(4)],
+              [realize(parse_expr(f"C(U({q + 2}*K(2)))")) for q in range(4)]]
+    for tree in enumerate_cographs(9):
+        g = realize(tree)
+        for chain in chains:
+            want = True
+            for pattern in chain:
+                want = want and _slow_contains_induced(g, pattern)
+                assert contains_induced(g, pattern) == want
+
+
+def gnp(rng, n, p):
+    return Graph.from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def test_contains_induced_matches_slow_reference_random():
+    """Seeded G(n, p) pairs, host on at most 10 vertices and p drawn from
+    {0.2, 0.5, 0.8} for each side; a third of the patterns have the host's
+    size and a third one vertex less, where the degree test decides most."""
+    rng = random.Random(16)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        hn = rng.randrange(1, 11)
+        pn = rng.choice((hn, hn - 1, rng.randrange(1, hn + 1)))
+        host = gnp(rng, hn, rng.choice((0.2, 0.5, 0.8)))
+        pat = gnp(rng, pn, rng.choice((0.2, 0.5, 0.8)))
+        want = _slow_contains_induced(host, pat)
+        assert contains_induced(host, pat) == want
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 500
+
+
+def scan_contains(host, pat):
+    """Some k-subset of host, in some order, has pattern's adjacency."""
+    k = pat.n
+    return any(all(host.has_edge(t[a], t[b]) == pat.has_edge(a, b)
+                   for a, b in combinations(range(k), 2))
+               for sub in combinations(range(host.n), k) for t in permutations(sub))
+
+
+def test_contains_induced_matches_exhaustive_scan(atlas):
+    """Every atlas graph on at most 6 vertices as host against every atlas
+    graph on at most 4 as pattern, by a scan that uses nothing of
+    obstructions."""
+    hosts = [g for _, g in atlas if g.n <= 6]
+    patterns = [g for _, g in atlas if g.n <= 4]
+    assert (len(hosts), len(patterns)) == (209, 19)
+    found = 0
+    for host in hosts:
+        for pat in patterns:
+            want = scan_contains(host, pat)
+            assert contains_induced(host, pat) == want
+            found += want
+    assert 0 < found < len(hosts) * len(patterns)
+
+
+def test_contains_induced_large_pattern_without_recursion():
+    """The masks live on an explicit stack, so a 1,100-vertex pattern
+    needs no more than the default recursion limit."""
+    assert sys.getrecursionlimit() <= 1000
+    assert contains_induced(Graph.complete(1150), Graph.complete(1100))
+    assert not contains_induced(Graph(1150), Graph.complete(1100))
+
+
+def test_family_free_calls_contains_induced_once_per_member(monkeypatch):
+    """is_family_free looks contains_induced up by its module-global name,
+    once per member tried, so wrapping that name sees every member tried:
+    one for K(5), which is the smallest member, and all seven for a
+    family-free graph."""
+    calls = []
+
+    def counting(host, pattern):
+        calls.append(pattern.n)
+        return contains_induced(host, pattern)
+
+    monkeypatch.setattr(obstructions, "contains_induced", counting)
+    assert not is_family_free(Graph.complete(5), family_A2())
+    assert calls == [5]
+    calls.clear()
+    forest = Graph.from_edge_list(6, [(0, 1), (0, 2), (3, 4)])
+    assert is_family_free(forest, family_A2())
+    assert calls == sorted(leaf_count(t) for t in family_A2())
 
 
 def test_is_family_free():
