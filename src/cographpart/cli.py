@@ -236,8 +236,6 @@ def _cmd_obstructions_search(args) -> int:
 
 
 def _cmd_obstructions_count(args) -> int:
-    if args.p < 2 or not 0 <= args.i <= args.p:
-        raise ValueError("requires p >= 2 and 0 <= i <= p")
     rep = count_Oi_report(args.p, args.i)
     _emit(args, {"p": rep.p, "i": rep.i, "distinct": rep.distinct,
                  "multiset_count": rep.multiset_count,

@@ -21,9 +21,9 @@ from operator import gt, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .cotree import (
-    CotreeNode, Leaf, _as_graph, _coerce_tree, _fold, canonical_code,
-    complement_tree, enumerate_cographs, join_of, parse_expr, realize,
-    relabel, to_expr, union_of,
+    CotreeNode, Leaf, _as_graph, _coerce_tree, canonical_code, complement_tree,
+    enumerate_cographs, join_of, leaves, parse_expr, realize, relabel, to_expr,
+    union_of,
 )
 from .graph import Graph, iter_bits
 from .solver import (
@@ -134,6 +134,13 @@ def star_forests(m: int) -> list[CotreeNode]:
     return out
 
 
+def _check_Oi(p: int, i: int) -> None:
+    if p < 2:
+        raise ValueError("requires p >= 2")
+    if not 0 <= i <= p:
+        raise ValueError("requires 0 <= i <= p")
+
+
 def family_Oi(p: int, i: int, forests: Sequence[CotreeNode]) -> CotreeNode:
     """Join of a balanced complete multipartite core with i star forests.
 
@@ -141,10 +148,7 @@ def family_Oi(p: int, i: int, forests: Sequence[CotreeNode]) -> CotreeNode:
     forest must come from star_forests(p+2-i). The result has
     p*(p+2-i) + 1 vertices.
     """
-    if p < 2:
-        raise ValueError("requires p >= 2")
-    if not 0 <= i <= p:
-        raise ValueError("requires 0 <= i <= p")
+    _check_Oi(p, i)
     forests = list(forests)
     if len(forests) != i:
         raise ValueError(f"expected {i} forests, got {len(forests)}")
@@ -163,14 +167,13 @@ def _clique_tree(k: int) -> CotreeNode:
 
 
 def iter_family_Oi(p: int, i: int) -> Iterator[CotreeNode]:
-    """All non-isomorphic members for the given p and i, deterministically."""
-    if i == 0:
-        yield family_Oi(p, 0, [])
-        return
-    options = star_forests(p + 2 - i)
+    """All non-isomorphic members for the given p and i, deterministically; the
+    first step raises ValueError unless p >= 2 and 0 <= i <= p."""
+    _check_Oi(p, i)
+    options = star_forests(p + 2 - i) if i else []
     seen: set[bytes] = set()
-    for combo in combinations_with_replacement(range(len(options)), i):
-        tree = family_Oi(p, i, [options[j] for j in combo])
+    for combo in combinations_with_replacement(options, i):
+        tree = family_Oi(p, i, combo)
         code = canonical_code(tree)
         if code not in seen:
             seen.add(code)
@@ -309,28 +312,11 @@ def _first_feasible(tree: CotreeNode | None, goal_t: tuple[Triple, ...],
     return next((t for t in goal_t if fs.contains(t)), None)
 
 
-def _failing_vertex(tree: CotreeNode, goal_t: tuple[Triple, ...]) -> int | None:
-    """The least vertex whose deletion admits no goal triple, None when none does.
-
-    Sibling leaves are twins, so deleting any one of them leaves the same
-    graph up to isomorphism. Only the least leaf of each sibling set is
-    tested, and the sets are tried in ascending order of that leaf.
-    """
-    least = [tree.vertex] if isinstance(tree, Leaf) else []
-
-    def node(n: CotreeNode, _) -> None:
-        siblings = [c.vertex for c in n.children if isinstance(c, Leaf)]
-        if siblings:
-            least.append(min(siblings))
-
-    _fold(tree, lambda _: None, node)
-    return next((v for v in sorted(least)
-                 if _first_feasible(tree, goal_t, v) is None), None)
-
-
 def _is_minimal(tree: CotreeNode, goal_t: tuple[Triple, ...]) -> bool:
-    """True when tree is a minimal obstruction for the goal, decided on the cotree."""
-    return _first_feasible(tree, goal_t) is None and _failing_vertex(tree, goal_t) is None
+    """True when tree is a minimal obstruction for the goal, decided on the
+    cotree: infeasible itself, and feasible less any one of its leaves."""
+    return _first_feasible(tree, goal_t) is None and all(
+        _first_feasible(tree, goal_t, v) is not None for v in leaves(tree))
 
 
 def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
@@ -340,9 +326,9 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
     two: each one-vertex deletion is partitionable for some goal triple.
     A deletion is decided and certified on the cotree itself, whose fold
     treats the deleted leaf as absent. A failed first condition reports a
-    counterexample certificate, a failed second one the least failing
-    vertex, and a passing second condition one witness certificate per
-    vertex, labels carried against the original vertex ids.
+    counterexample certificate. One ascending scan then decides the
+    deletions and stops at the least failing vertex; when none fails, each
+    triple it found is certified, labels carried against the original ids.
     """
     goal_t = _normalize_goal(goal)
     tree = _coerce_tree(graph_or_tree)
@@ -358,15 +344,16 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
         cert = extract_certificate(tree, t)
         return report(is_obstruction=False, is_minimal=False,
                       counterexample=FeasibleWitness(t, cert.labels))
-    v = _failing_vertex(tree, goal_t)
-    if v is not None:
-        return report(is_obstruction=True, is_minimal=False, failing_vertex=v)
-    witnesses = []
+    found = []
     for v in range(graph.n):
+        t = _first_feasible(tree, goal_t, v)
+        if t is None:
+            return report(is_obstruction=True, is_minimal=False, failing_vertex=v)
+        found.append(t)
+    witnesses = []
+    for v, t in enumerate(found):
         rest = [u for u in range(graph.n) if u != v]
-        found = _first_feasible(tree, goal_t, v)
-        labels = _certificate(tree, found, v).labels
-        witnesses.append(DeletionWitness(v, found, tuple(zip(rest, labels))))
+        witnesses.append(DeletionWitness(v, t, tuple(zip(rest, _certificate(tree, t, v).labels))))
     return report(is_obstruction=True, is_minimal=True, witnesses=tuple(witnesses))
 
 

@@ -1,4 +1,4 @@
-"""Shared helpers: networkx conversion and the small-graph atlas."""
+"""Shared helpers: networkx conversion, the small-graph atlas and scrambled cotrees."""
 import os
 from functools import lru_cache
 from itertools import combinations
@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 import cographpart
-from cographpart import Graph
+from cographpart import Graph, Leaf, leaf_count
 
 
 def to_nx(graph: Graph) -> nx.Graph:
@@ -34,6 +34,21 @@ def has_p4_brute(graph: Graph) -> bool:
         if degs == [1, 1, 2, 2]:
             return True
     return False
+
+
+def scrambled(tree, rng):
+    """Copy of tree with its leaf ids permuted and every child list shuffled."""
+    perm = list(range(leaf_count(tree)))
+    rng.shuffle(perm)
+
+    def build(node):
+        if isinstance(node, Leaf):
+            return Leaf(perm[node.vertex])
+        kids = [build(c) for c in node.children]
+        rng.shuffle(kids)
+        return type(node)(tuple(kids))
+
+    return build(tree)
 
 
 @lru_cache(maxsize=1)

@@ -410,6 +410,18 @@ def test_obstructions_count(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["obstructions", "families", "--p", "3", "--oi", "-1"],
+    ["obstructions", "count", "--p", "2", "--i", "3"],
+], ids=" ".join)
+def test_oi_out_of_range_exits_two(capsys, argv):
+    """The star-forest join family checks i before it builds any forest."""
+    code, out = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 1
+    assert "0 <= i <= p" in json.loads(lines[0])["error"]
+
+
 def test_human_output(capsys):
     code, out = run(capsys, "frontier", "--dsl", C4_DSL, "--box", "2,2,2",
                     "--human")

@@ -44,7 +44,7 @@ from cographpart import (
 from cographpart import cotree
 from cographpart.solver import _certificate, _feasible_set
 
-from conftest import from_nx, has_p4_brute
+from conftest import from_nx, has_p4_brute, scrambled
 
 # Unlabelled cographs on 1..13 vertices.
 COGRAPH_COUNTS = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624, 14136, 43930, 137908]
@@ -317,21 +317,6 @@ def test_enumeration_keeps_no_module_state():
     assert len(list(enumerate_cographs(9))) == 1532
     search_minimal_obstructions(8, (2, 0, 0))
     assert live_internal_nodes() == before
-
-
-def scrambled(tree, rng):
-    """Copy of tree with its leaf ids permuted and every child list shuffled."""
-    perm = list(range(leaf_count(tree)))
-    rng.shuffle(perm)
-
-    def build(node):
-        if isinstance(node, Leaf):
-            return Leaf(perm[node.vertex])
-        kids = [build(c) for c in node.children]
-        rng.shuffle(kids)
-        return type(node)(tuple(kids))
-
-    return build(tree)
 
 
 DELETION_BOXES = [Triple(2, 0, 0), Triple(1, 1, 0), Triple(0, 2, 1), Triple(1, 1, 1)]

@@ -1,5 +1,6 @@
 """Tests for obstruction families, the minimality checker and search."""
 import concurrent.futures
+import hashlib
 import inspect
 import json
 import os
@@ -45,7 +46,7 @@ from cographpart import cotree, obstructions
 from cographpart.cotree import _as_graph
 from cographpart.graph import iter_bits
 
-from conftest import to_nx
+from conftest import scrambled, to_nx
 
 
 def codes(trees):
@@ -172,6 +173,15 @@ def test_count_oi_report_flags_formula():
     assert not rep.formula_matches
 
 
+@pytest.mark.parametrize("p, i", [(3, -1), (2, 3), (1, 0), (1, 1)])
+@pytest.mark.parametrize("build", [
+    lambda p, i: list(iter_family_Oi(p, i)), count_Oi, count_Oi_report,
+], ids=["iter_family_Oi", "count_Oi", "count_Oi_report"])
+def test_family_oi_checks_p_and_i_first(build, p, i):
+    with pytest.raises(ValueError, match="^requires "):
+        build(p, i)
+
+
 def test_iter_family_oi_members_distinct():
     members = list(iter_family_Oi(3, 2))
     assert len(members) == 3
@@ -197,6 +207,15 @@ def test_build_h_iterates():
     h2 = build_H(h, h, 3)
     assert leaf_count(h2) == 49
     assert is_minimal_obstruction(h2, Triple(4, 0, 0)).is_minimal
+
+
+def test_build_h_scrambled_inputs():
+    """build_H decides its inputs' minimality by their leaves, whatever
+    their ids and child order."""
+    g1 = parse_expr("C(U(3*K(3)))")
+    rng = random.Random(3)
+    want = canonical_code(build_H(g1, g1, 2))
+    assert canonical_code(build_H(scrambled(g1, rng), scrambled(g1, rng), 2)) == want
 
 
 def test_build_h_rejects_bad_inputs():
@@ -294,11 +313,15 @@ def test_is_minimal_obstruction_ifvs():
 def test_failing_vertex_is_least(goal):
     """failing_vertex is the least vertex whose induced subgraph, recognized
     from the graph, is infeasible for every goal triple; there is none
-    exactly when the obstruction is minimal."""
+    exactly when the obstruction is minimal. Each tree is also given as a
+    scrambled copy, whose leaf ids are not in leaf order, and the search's
+    own test agrees with the report on every input."""
+    rng = random.Random(5)
     seen = 0
     for n in range(1, 8):
-        for tree in enumerate_cographs(n):
+        for tree in (t for e in enumerate_cographs(n) for t in (e, scrambled(e, rng))):
             report = is_minimal_obstruction(tree, goal)
+            assert obstructions._is_minimal(tree, report.goal) == report.is_minimal
             if not report.is_obstruction:
                 continue
             seen += 1
@@ -582,6 +605,21 @@ def test_search_matches_slow_reference(goal):
     for jobs in (1, 2):
         reports = search_minimal_obstructions(9, goal, jobs=jobs)
         assert [r.to_json() for r in reports] == want
+
+
+@pytest.mark.parametrize("goal, digest", [
+    (Triple(2, 0, 0), "4f28abfe0e0108d949851d0b7e476f8c8538baa42e7eba6e945a56184596bd08"),
+    (Triple(1, 1, 0), "447e1b6e7dee25aea9f48d81c6fab4bb2b2ab25057b90ff73c4a99cb92815890"),
+    ([Triple(0, 2, 1), Triple(0, 1, 2)],
+     "4d06c536254d0c956251cb8e19d2a6ef2c12f2b685848f7f590a711f8827b724"),
+    (Triple(1, 2, 0), "82562d6a4276464a0bdd878bb02da2060d4ee709e9b00b75eb2dd33df87eb7e1"),
+], ids=["200", "110", "021-012", "120"])
+def test_search_reports_pinned(goal, digest):
+    """The search's reports at n <= 10, pinned apart from the report code
+    that test_search_matches_slow_reference compares them with."""
+    reports = search_minimal_obstructions(10, goal)
+    text = json.dumps([r.to_json() for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_search_caps_jobs_at_cpu_count(monkeypatch):
