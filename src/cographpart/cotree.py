@@ -438,9 +438,12 @@ def _multisets(total: int, pool: list, start: int = 0) -> Iterator[tuple]:
 def enumerate_cographs(n: int) -> Iterator[CotreeNode]:
     """One normalized cotree per isomorphism class of cographs on n vertices.
 
-    Trees are yielded in a deterministic order with leaf ids relabelled
-    0..n-1: the Join-rooted trees, then the Union-rooted ones, each sorted by
-    canonical code. Every call builds its trees afresh and keeps none.
+    Trees are yielded in a deterministic order with leaf ids 0..n-1 from
+    left to right: the Join-rooted trees, then the Union-rooted ones, each
+    sorted by canonical code. Below the root, trees share structure: every
+    tree that places the same subtree at the same first leaf id holds the
+    same node. Every call builds its trees afresh and keeps none after it
+    ends.
     Intended for n up to about 12; counts grow roughly threefold per vertex.
     """
     if n < 1:
@@ -448,21 +451,43 @@ def enumerate_cographs(n: int) -> Iterator[CotreeNode]:
     if n == 1:
         yield Leaf(0)
         return
-    # (size, code, tree, complement's code, complement) for the leaf and each
-    # Union-rooted tree built so far, by size and then code
-    pool = [(1, b"L", Leaf(0), b"L", Leaf(0))]
+    # (size, code, complement's code, children's entries) for the leaf and
+    # each Union-rooted cograph so far, by size and then code. The Union is
+    # over the complements of its children's cographs, and its complement is
+    # the Join over the children's cographs themselves.
+    pool = [(1, b"L", b"L", ())]
     for size in range(2, n + 1):
-        # a Join over Union-rooted children is the complement of the Union
-        # over their complements; both codes sort the children's codes
-        joins = [(b"J(" + b"".join(sorted([e[1] for e in kids])) + b")",
-                  Join(tuple([e[2] for e in kids])),
-                  b"U(" + b"".join(sorted([e[3] for e in kids])) + b")",
-                  Union(tuple([e[4] for e in kids])))
-                 for kids in _multisets(size, pool)]
-        joins.sort(key=itemgetter(0))
-        pool += sorted([(size, ucode, union, jcode, join)
-                        for jcode, join, ucode, union in joins], key=itemgetter(1))
-    yield from map(relabel, [j[1] for j in joins] + [u[2] for u in pool[-len(joins):]])
+        # both codes sort the children's codes
+        joins = sorted([(b"J(" + b"".join(sorted([e[1] for e in kids])) + b")",
+                         b"U(" + b"".join(sorted([e[2] for e in kids])) + b")", kids)
+                        for kids in _multisets(size, pool)], key=itemgetter(0))
+        pool += sorted([(size, ucode, jcode, kids) for jcode, ucode, kids in joins],
+                       key=itemgetter(1))
+
+    # (code, first leaf id) -> the non-root node of that cograph whose
+    # leaves are numbered from there; a code names one pool entry's side
+    copies: dict[tuple[bytes, int], CotreeNode] = {}
+
+    def place(kids: tuple, union: bool, first: int) -> tuple[CotreeNode, ...]:
+        """The Union-rooted cographs of kids (their complements when not
+        union), side by side with leaf ids from first on."""
+        out = []
+        for size, ucode, jcode, grandkids in kids:
+            key = (ucode if union else jcode, first)
+            node = copies.get(key)
+            if node is None:
+                node = Leaf(first) if not grandkids else (Union if union else Join)(
+                    place(grandkids, not union, first))
+                copies[key] = node
+            out.append(node)
+            first += size
+        return tuple(out)
+
+    # roots are never shared, so they are built outside the copies
+    for _, _, kids in joins:
+        yield Join(place(kids, True, 0))
+    for _, _, _, kids in pool[-len(joins):]:
+        yield Union(place(kids, False, 0))
 
 
 def count_cographs(n: int) -> int:

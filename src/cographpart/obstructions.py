@@ -21,13 +21,14 @@ from operator import gt, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .cotree import (
-    CotreeNode, Leaf, _as_graph, _coerce_tree, canonical_code, complement_tree,
+    CotreeNode, Leaf, Union, _as_graph, _coerce_tree, canonical_code, complement_tree,
     enumerate_cographs, join_of, leaves, parse_expr, realize, relabel, to_expr,
     union_of,
 )
 from .graph import Graph, iter_bits
 from .solver import (
-    Triple, _certificate, _feasible_set, as_triple, chromatic_number, extract_certificate,
+    _ABSENT, Triple, _certificate, _combine, _feasible_set, _leaf_frontier, as_triple,
+    chromatic_number, extract_certificate,
 )
 
 if TYPE_CHECKING:
@@ -435,15 +436,89 @@ def is_family_free(graph, family) -> bool:
 # -- exhaustive search -------------------------------------------------
 
 
+def _minimality_test(goal_t: tuple[Triple, ...]):
+    """The search's minimality test: it agrees with _is_minimal on
+    normalized cotrees and pays off on trees that share subtrees, as the
+    trees of one enumerate_cographs call do.
+
+    It keeps, for each non-root node it meets, the node's frontier and the
+    distinct frontiers of its one-leaf deletions, keyed by the node itself,
+    so a shared subtree is folded once. A deletion in child i combines the
+    children before i, the deleted child and the children after i; both
+    combines are exact, commutative and associative, so the order does not
+    change the frontier. Feasibility is hereditary, so a non-root node that
+    is infeasible, or has an infeasible deletion, is kept as None: a tree
+    with it as a child, and another child to delete a vertex from, is not
+    minimal. Normalized trees on two or more vertices have at least two
+    children at the root. Recursion goes as deep as the tree.
+    """
+    box = Triple(*map(max, zip(*goal_t)))
+    region = (box.p, box.p + box.q, box.p + box.r)
+    leaf = _leaf_frontier(region)
+
+    def feasible(front) -> bool:
+        return any(a <= p and b <= q and c <= r for a, b, c in front for p, q, r in goal_t)
+
+    # a leaf's one deletion leaves the empty graph, which every goal admits
+    leaf_signature = (leaf, (_ABSENT,)) if feasible(leaf) else None
+    known: dict = {}
+
+    def deletions(kind: str, signatures: list, before: list):
+        """Frontiers of the one-leaf deletions below a node, lazily, from
+        its children's signatures and the frontiers of their prefixes."""
+        after = _ABSENT
+        for (front, deleted), prefix in zip(reversed(signatures), reversed(before)):
+            for d in deleted:
+                yield _combine(kind, _combine(kind, prefix, d, region), after, region)
+            after = _combine(kind, front, after, region)
+
+    def split(node):
+        """node's frontier and its deletions' frontiers, or None when a
+        child's signature is None."""
+        signatures = [leaf_signature if isinstance(c, Leaf) else signature(c)
+                      for c in node.children]
+        if None in signatures:
+            return None
+        kind = "U" if isinstance(node, Union) else "J"
+        before = [_ABSENT]
+        for front, _ in signatures:
+            before.append(_combine(kind, before[-1], front, region))
+        return before.pop(), deletions(kind, signatures, before)
+
+    def signature(node):
+        """(frontier, distinct deletion frontiers) of a non-root node, or None."""
+        if node not in known:
+            sig = split(node)
+            if sig is not None and feasible(sig[0]):
+                distinct = set(sig[1])
+                sig = (sig[0], tuple(distinct)) if all(map(feasible, distinct)) else None
+            else:
+                sig = None
+            known[node] = sig
+        return known[node]
+
+    def is_minimal(tree: CotreeNode) -> bool:
+        if isinstance(tree, Leaf):
+            return not feasible(leaf)
+        sig = split(tree)
+        return sig is not None and not feasible(sig[0]) and all(map(feasible, sig[1]))
+
+    return is_minimal
+
+
 def _search_stride(n_max: int, goal_t: tuple[Triple, ...], first: int, step: int):
     """Minimal obstructions among every step-th cograph from the first-th on,
     for each vertex count up to n_max, keyed by (n, enumeration index). The
     test on the cotree comes first, so only minimal obstructions pay for a
-    report."""
-    return [((n, first + k * step), is_minimal_obstruction(tree, goal_t))
-            for n in range(1, n_max + 1)
-            for k, tree in enumerate(islice(enumerate_cographs(n), first, None, step))
-            if _is_minimal(tree, goal_t)]
+    report. Each vertex count gets its own test, since no node is shared
+    between two enumerations."""
+    found = []
+    for n in range(1, n_max + 1):
+        is_minimal = _minimality_test(goal_t)
+        found += [((n, first + k * step), is_minimal_obstruction(tree, goal_t))
+                  for k, tree in enumerate(islice(enumerate_cographs(n), first, None, step))
+                  if is_minimal(tree)]
+    return found
 
 
 def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[ObstructionReport]:
@@ -457,6 +532,8 @@ def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[Obstruc
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     goal_t = _normalize_goal(goal)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:

@@ -401,6 +401,15 @@ def test_obstructions_search(capsys):
         Graph.from_edge_list(4, [(0, 2), (0, 3), (1, 2), (1, 3)]).to_graph6()}
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_search_rejects_jobs_below_one(capsys, jobs):
+    code, out = run(capsys, "obstructions", "search", "--n", "4", "--goal", "(1,0,0)",
+                    "--jobs", jobs)
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "jobs must be at least 1"}
+
+
 def test_obstructions_count(capsys):
     code, data = run_json(capsys, "obstructions", "count", "--p", "3", "--i", "2")
     assert code == 0

@@ -8,7 +8,7 @@ import random
 import sys
 from concurrent.futures import Future
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import pytest
@@ -314,8 +314,8 @@ def test_failing_vertex_is_least(goal):
     """failing_vertex is the least vertex whose induced subgraph, recognized
     from the graph, is infeasible for every goal triple; there is none
     exactly when the obstruction is minimal. Each tree is also given as a
-    scrambled copy, whose leaf ids are not in leaf order, and the search's
-    own test agrees with the report on every input."""
+    scrambled copy, whose leaf ids are not in leaf order, and the per-tree
+    test _is_minimal agrees with the report on every input."""
     rng = random.Random(5)
     seen = 0
     for n in range(1, 8):
@@ -607,19 +607,57 @@ def test_search_matches_slow_reference(goal):
         assert [r.to_json() for r in reports] == want
 
 
-@pytest.mark.parametrize("goal, digest", [
-    (Triple(2, 0, 0), "4f28abfe0e0108d949851d0b7e476f8c8538baa42e7eba6e945a56184596bd08"),
-    (Triple(1, 1, 0), "447e1b6e7dee25aea9f48d81c6fab4bb2b2ab25057b90ff73c4a99cb92815890"),
-    ([Triple(0, 2, 1), Triple(0, 1, 2)],
+@pytest.mark.parametrize("n_max, goal, digest", [
+    (10, Triple(2, 0, 0), "4f28abfe0e0108d949851d0b7e476f8c8538baa42e7eba6e945a56184596bd08"),
+    (10, Triple(1, 1, 0), "447e1b6e7dee25aea9f48d81c6fab4bb2b2ab25057b90ff73c4a99cb92815890"),
+    (10, [Triple(0, 2, 1), Triple(0, 1, 2)],
      "4d06c536254d0c956251cb8e19d2a6ef2c12f2b685848f7f590a711f8827b724"),
-    (Triple(1, 2, 0), "82562d6a4276464a0bdd878bb02da2060d4ee709e9b00b75eb2dd33df87eb7e1"),
-], ids=["200", "110", "021-012", "120"])
-def test_search_reports_pinned(goal, digest):
-    """The search's reports at n <= 10, pinned apart from the report code
-    that test_search_matches_slow_reference compares them with."""
-    reports = search_minimal_obstructions(10, goal)
+    (10, Triple(1, 2, 0), "82562d6a4276464a0bdd878bb02da2060d4ee709e9b00b75eb2dd33df87eb7e1"),
+    (11, Triple(2, 0, 0), "babcfd8b95f479036d799210ed6a310c9d8b39ef5b5ff20d214bb049b7ed4849"),
+], ids=["200", "110", "021-012", "120", "200-n11"])
+def test_search_reports_pinned(n_max, goal, digest):
+    """The search's reports at n <= 10 (and n <= 11 on (2,0,0)), pinned apart
+    from the report code that test_search_matches_slow_reference compares
+    them with."""
+    reports = search_minimal_obstructions(n_max, goal)
     text = json.dumps([r.to_json() for r in reports], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+FAST_PATH_GOALS = [Triple(*t) for t in product(range(3), repeat=3)] + [
+    [Triple(0, 2, 1), Triple(0, 1, 2)], [Triple(1, 0, 1), Triple(0, 2, 0)],
+    [Triple(2, 0, 0), Triple(0, 3, 0)]]
+
+
+def fast_path_disagreements(n_max, goal):
+    """Cographs on <= n_max vertices where the search's minimality test and
+    _is_minimal disagree, with one test per vertex count run in enumeration
+    order, as the search runs it."""
+    goal_t = obstructions._normalize_goal(goal)
+    bad = []
+    for n in range(1, n_max + 1):
+        is_minimal = obstructions._minimality_test(goal_t)
+        bad += [to_expr(tree) for tree in enumerate_cographs(n)
+                if is_minimal(tree) != obstructions._is_minimal(tree, goal_t)]
+    return bad
+
+
+@pytest.mark.parametrize("goal", FAST_PATH_GOALS, ids=lambda goal: "-".join(
+    "".join(map(str, t)) for t in (goal if isinstance(goal, list) else [goal])))
+def test_minimality_test_matches_slow_reference(goal):
+    """The search's test, which keeps frontiers per shared subtree, against
+    the per-tree deletion folds on every cograph with <= 8 vertices."""
+    assert fast_path_disagreements(8, goal) == []
+
+
+def test_minimality_test_matches_slow_reference_n10():
+    assert fast_path_disagreements(10, Triple(2, 0, 0)) == []
+
+
+def test_search_rejects_jobs_below_one():
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            search_minimal_obstructions(4, (1, 0, 0), jobs=jobs)
 
 
 def test_search_caps_jobs_at_cpu_count(monkeypatch):
