@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     o = osub.add_parser("search", parents=[common], help="all minimal obstructions up to a size")
     o.add_argument("--n", type=_ascii_int, required=True)
     o.add_argument("--goal", required=True, metavar="(p,q,r),...")
-    o.add_argument("--jobs", type=_ascii_int, default=1)
+    o.add_argument("--jobs", type=_ascii_int, default=1,
+                   help="at least 1; the search runs in one process, so it has no other effect")
     o.set_defaults(func=_cmd_obstructions_search)
 
     o = osub.add_parser("count", parents=[common], help="star-forest join family census for p, i")

@@ -14,9 +14,8 @@ containment test and a search over all cographs up to a vertex bound.
 from __future__ import annotations
 
 import math
-import os
 from functools import partial
-from itertools import accumulate, combinations_with_replacement, islice
+from itertools import accumulate, combinations_with_replacement
 from operator import gt, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
@@ -27,8 +26,8 @@ from .cotree import (
 )
 from .graph import Graph, iter_bits
 from .solver import (
-    _ABSENT, Triple, _certificate, _combine, _feasible_set, _leaf_frontier, as_triple,
-    chromatic_number, extract_certificate,
+    _ABSENT, Triple, _certificate, _combine, _feasible_set, _leaf_frontier, _prefix_frontiers,
+    as_triple, chromatic_number, extract_certificate,
 )
 
 if TYPE_CHECKING:
@@ -480,9 +479,7 @@ def _minimality_test(goal_t: tuple[Triple, ...]):
         if None in signatures:
             return None
         kind = "U" if isinstance(node, Union) else "J"
-        before = [_ABSENT]
-        for front, _ in signatures:
-            before.append(_combine(kind, before[-1], front, region))
+        before = [_ABSENT, *_prefix_frontiers(node, [front for front, _ in signatures], region)]
         return before.pop(), deletions(kind, signatures, before)
 
     def signature(node):
@@ -506,42 +503,24 @@ def _minimality_test(goal_t: tuple[Triple, ...]):
     return is_minimal
 
 
-def _search_stride(n_max: int, goal_t: tuple[Triple, ...], first: int, step: int):
-    """Minimal obstructions among every step-th cograph from the first-th on,
-    for each vertex count up to n_max, keyed by (n, enumeration index). The
-    test on the cotree comes first, so only minimal obstructions pay for a
-    report. Each vertex count gets its own test, since no node is shared
-    between two enumerations."""
-    found = []
-    for n in range(1, n_max + 1):
-        is_minimal = _minimality_test(goal_t)
-        found += [((n, first + k * step), is_minimal_obstruction(tree, goal_t))
-                  for k, tree in enumerate(islice(enumerate_cographs(n), first, None, step))
-                  if is_minimal(tree)]
-    return found
-
-
 def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[ObstructionReport]:
     """All minimal obstructions for goal among cographs on <= n_max vertices.
 
-    Enumerates one representative per isomorphism class. Results come in
-    enumeration order, which is by vertex count, then canonical code,
-    independent of jobs. At most os.cpu_count() worker processes run,
-    however large jobs is. Worker k enumerates on its own and checks every
-    jobs-th cograph from the k-th on, so only reports cross to the parent.
+    Enumerates one representative per isomorphism class, in one process, and
+    returns the reports in enumeration order: by vertex count, then canonical
+    code. The test on the cotree comes first, so only minimal obstructions
+    pay for a report; each vertex count gets its own test, since no node is
+    shared between two enumerations. jobs must be at least 1 and has no
+    other effect.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     goal_t = _normalize_goal(goal)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        found = _search_stride(n_max, goal_t, 0, 1)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only parallel searches pay for it
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            strides = [pool.submit(_search_stride, n_max, goal_t, k, jobs) for k in range(jobs)]
-            # the keys are distinct, so sorting never compares two reports
-            found = sorted(item for stride in strides for item in stride.result())
-    return [report for _, report in found]
+    found = []
+    for n in range(1, n_max + 1):
+        is_minimal = _minimality_test(goal_t)
+        found += [is_minimal_obstruction(tree, goal_t)
+                  for tree in enumerate_cographs(n) if is_minimal(tree)]
+    return found

@@ -410,6 +410,14 @@ def test_search_rejects_jobs_below_one(capsys, jobs):
     assert json.loads(lines[0]) == {"error": "jobs must be at least 1"}
 
 
+def test_search_takes_large_jobs(capsys):
+    search = ("obstructions", "search", "--n", "6", "--goal", "(2,0,0)")
+    code, out = run(capsys, *search, "--jobs", "99999999999999999999")
+    assert code == 0
+    assert (0, out) == run(capsys, *search)
+    assert json.loads(out)["dsl"] == "K(5)"
+
+
 def test_obstructions_count(capsys):
     code, data = run_json(capsys, "obstructions", "count", "--p", "3", "--i", "2")
     assert code == 0

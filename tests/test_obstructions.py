@@ -3,10 +3,9 @@ import concurrent.futures
 import hashlib
 import inspect
 import json
-import os
+import multiprocessing.process
 import random
 import sys
-from concurrent.futures import Future
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -42,7 +41,7 @@ from cographpart import (
     to_expr,
     vertex_arboricity,
 )
-from cographpart import cotree, obstructions
+from cographpart import obstructions
 from cographpart.cotree import _as_graph
 from cographpart.graph import iter_bits
 
@@ -660,49 +659,19 @@ def test_search_rejects_jobs_below_one():
             search_minimal_obstructions(4, (1, 0, 0), jobs=jobs)
 
 
-def test_search_caps_jobs_at_cpu_count(monkeypatch):
-    """Also with three CPUs: three strides run, and at n = 1 and n = 2 there
-    are fewer cographs than strides."""
-    workers = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    for cpus, n_max in ((os.cpu_count() or 1, 6), (3, 8)):
-        workers.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "cpu_count", lambda: cpus)
-            capped = search_minimal_obstructions(n_max, Triple(2, 0, 0), jobs=10**6)
-        assert workers == ([] if cpus == 1 else [cpus])
-        serial = search_minimal_obstructions(n_max, Triple(2, 0, 0))
-        assert [r.to_json() for r in capped] == [r.to_json() for r in serial]
-
-
-def test_search_pickles_no_cotree(monkeypatch):
-    """Each worker enumerates its own stride, so only reports cross a
-    process boundary."""
+def test_search_starts_no_process(monkeypatch):
+    """The search runs in the calling process however large jobs is, so it
+    starts no worker process and needs no pool."""
     serial = search_minimal_obstructions(7, (2, 0, 0))
 
-    def refuse(node):
-        raise TypeError("a cotree was pickled")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search started a process")
 
-    monkeypatch.setattr(cotree._Node, "__reduce__", refuse)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    parallel = search_minimal_obstructions(7, (2, 0, 0), jobs=2)
-    assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    reports = search_minimal_obstructions(7, (2, 0, 0), jobs=10**6)
+    assert [r.to_json() for r in reports] == [r.to_json() for r in serial]
+    assert serial
 
 
 def test_search_enumerates_once_per_vertex_count(monkeypatch):
