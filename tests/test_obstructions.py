@@ -623,6 +623,31 @@ def test_search_reports_pinned(n_max, goal, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("goal, digest, scrambled_digest", [
+    (Triple(2, 0, 0), "058afe7bd5eaaee2688a9ce38191da108180a65edbc3961595f7bafe5c5bb512",
+     "092cd9dbfd958d5905d988b9fbecfe96f4b73b799d63043d4063fdebe08dafb3"),
+    (Triple(1, 1, 0), "5d226f93e68f93533120b19f59db1529f54ba41080da61a5a05945ae65e85387",
+     "2b27cbed5bc5cdbc07bf19b6f69fe47ba3b20d2fd6eff7eadb2fade74ab8bcd0"),
+    ([Triple(0, 2, 1), Triple(0, 1, 2)],
+     "af37eb89c102b129c964f7716604cb36ffa763f46bd0c2853cecf28f63cc4991",
+     "565d47f8591a77a9786e8c4c9f12845225552360f99e8d81ceaa8500bfcc033e"),
+], ids=["200", "110", "021-012"])
+def test_reports_pinned(goal, digest, scrambled_digest):
+    """is_minimal_obstruction's reports on every cograph with <= 9 vertices,
+    and on a scrambled copy of every cograph with <= 8 (809 trees, one
+    seeded stream), pinned: obstructions, failing vertices, witnesses and
+    counterexamples alike."""
+    def sha(trees):
+        text = json.dumps([is_minimal_obstruction(t, goal).to_json() for t in trees],
+                          sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert sha(t for n in range(1, 10) for t in enumerate_cographs(n)) == digest
+    rng = random.Random(5)
+    assert sha(scrambled(t, rng) for n in range(1, 9)
+               for t in enumerate_cographs(n)) == scrambled_digest
+
+
 FAST_PATH_GOALS = [Triple(*t) for t in product(range(3), repeat=3)] + [
     [Triple(0, 2, 1), Triple(0, 1, 2)], [Triple(1, 0, 1), Triple(0, 2, 0)],
     [Triple(2, 0, 0), Triple(0, 3, 0)]]
