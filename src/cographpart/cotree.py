@@ -117,12 +117,14 @@ def join_of(children: Sequence[CotreeNode]) -> CotreeNode:
     return Join(tuple(flat))
 
 
-def _fold(tree: CotreeNode, leaf, node):
+def _fold(tree: CotreeNode, leaf, node, memo: dict | None = None):
     """Post-order fold over a cotree without recursion, so any depth works.
 
     leaf(l) gives the value of a Leaf and is called on the leaves left to
     right; node(n, values) gives the value of an internal node from the list
-    of its children's values, in child order.
+    of its children's values, in child order. With a memo, keyed by node
+    identity, an internal node found in it is not walked again, and every
+    node folded is stored in it.
     """
     # the node being folded, the iterator over its children and their values
     # so far; its ancestors wait on the stack in the same form. The walk starts
@@ -133,6 +135,8 @@ def _fold(tree: CotreeNode, leaf, node):
         for c in it:
             if isinstance(c, Leaf):
                 acc.append(leaf(c))
+            elif memo is not None and c in memo:
+                acc.append(memo[c])
             else:
                 stack.append((n, it, acc))
                 n, it, acc = c, iter(c.children), []
@@ -141,6 +145,8 @@ def _fold(tree: CotreeNode, leaf, node):
             if not stack:
                 return acc[0]
             value = node(n, acc)
+            if memo is not None:
+                memo[n] = value
             n, it, acc = stack.pop()
             acc.append(value)
 

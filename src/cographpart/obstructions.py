@@ -20,13 +20,13 @@ from operator import gt, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .cotree import (
-    CotreeNode, Leaf, Union, _as_graph, _coerce_tree, canonical_code, complement_tree,
-    enumerate_cographs, join_of, leaves, parse_expr, realize, relabel, to_expr,
+    CotreeNode, Leaf, Union, _as_graph, _coerce_tree, _fold, canonical_code, complement_tree,
+    enumerate_cographs, join_of, parse_expr, realize, relabel, to_expr,
     union_of,
 )
 from .graph import Graph, iter_bits
 from .solver import (
-    _ABSENT, Triple, _certificate, _combine, _feasible_set, _leaf_frontier, _prefix_frontiers,
+    _ABSENT, Triple, _certificate, _combine, _leaf_frontier, _prefix_frontiers,
     as_triple, chromatic_number, extract_certificate,
 )
 
@@ -221,12 +221,14 @@ def build_H(g1, g2, p: int) -> CotreeNode:
     if p < 1:
         raise ValueError("requires p >= 1")
     goal_t = (Triple(p, 0, 0),)
+    signature = _signatures(goal_t)
     trees = []
     for which, g in (("first", g1), ("second", g2)):
         tree = _coerce_tree(g)
         if tree is None:
             raise ValueError(f"{which} input is empty")
-        if not _is_minimal(tree, goal_t):
+        tree = relabel(tree)  # masks index leaf ids; the output is relabelled anyway
+        if not _minimal(signature(tree, {}), goal_t):
             raise ValueError(
                 f"{which} input is not a minimal obstruction for ({p}, 0, 0)")
         chi = chromatic_number(tree)
@@ -303,20 +305,74 @@ def _normalize_goal(goal) -> tuple[Triple, ...]:
     return tuple(triples)
 
 
-def _first_feasible(tree: CotreeNode | None, goal_t: tuple[Triple, ...],
-                    without: int | None = None) -> Triple | None:
-    """The first goal triple that tree's graph admits, less the vertex without
-    when given, or None; one fold at the least box that holds every goal
-    triple decides them all."""
-    fs = _feasible_set(tree, Triple(*map(max, zip(*goal_t))), without)
-    return next((t for t in goal_t if fs.contains(t)), None)
+def _first_goal(front, goal_t: tuple[Triple, ...]) -> Triple | None:
+    """The first goal triple that a frontier in the goal's region admits, or None."""
+    for t in goal_t:
+        p, q, r = t
+        for a, b, c in front:
+            if a <= p and b <= q and c <= r:
+                return t
+    return None
 
 
-def _is_minimal(tree: CotreeNode, goal_t: tuple[Triple, ...]) -> bool:
-    """True when tree is a minimal obstruction for the goal, decided on the
-    cotree: infeasible itself, and feasible less any one of its leaves."""
-    return _first_feasible(tree, goal_t) is None and all(
-        _first_feasible(tree, goal_t, v) is not None for v in leaves(tree))
+def _signatures(goal_t: tuple[Triple, ...]):
+    """The one minimality decider: signature(tree, memo) gives tree's
+    frontier in the goal's region and its one-leaf deletions as (frontier,
+    mask) pairs, mask holding the ids of the leaves whose deletion gives
+    that frontier. A node below the root keeps one pair per distinct
+    frontier in memo, where _fold stores it by identity, so the trees that
+    share a subtree fold it once; the root's pairs come lazily, so a caller
+    can stop at the first one. A deletion in child i combines the deleted
+    child with the children before and after i; the combines are exact,
+    commutative and associative, so the order does not matter.
+    """
+    box = Triple(*map(max, zip(*goal_t)))
+    region = (box.p, box.p + box.q, box.p + box.r)
+    leaf = _leaf_frontier(region)
+
+    def leaf_signature(node: Leaf):
+        # a leaf's one deletion leaves the empty graph
+        return leaf, ((_ABSENT, 1 << node.vertex),)
+
+    def deletions(kind: str, signatures: list, before: list):
+        """Deletion frontiers and masks below a node, from its children's
+        signatures and the frontiers of their prefixes, last child first."""
+        after = _ABSENT
+        for i in reversed(range(len(signatures))):
+            front, deleted = signatures[i]
+            rest = _combine(kind, before[i], after, region)  # the other children
+            for d, mask in deleted:
+                yield _combine(kind, d, rest, region), mask
+            if i:  # with child 0 it would be the node's own frontier, never used
+                after = _combine(kind, front, after, region)
+
+    def split(node, signatures: list):
+        kind = "U" if isinstance(node, Union) else "J"
+        before = [_ABSENT, *_prefix_frontiers(node, [front for front, _ in signatures], region)]
+        return before.pop(), deletions(kind, signatures, before)
+
+    def node_signature(node, signatures: list):
+        front, pairs = split(node, signatures)
+        merged: dict = {}
+        for d, mask in pairs:
+            merged[d] = merged.get(d, 0) | mask
+        return front, tuple(merged.items())
+
+    def signature(tree: CotreeNode, memo: dict):
+        if isinstance(tree, Leaf):
+            return leaf_signature(tree)
+        return split(tree, [memo.get(c) or _fold(c, leaf_signature, node_signature, memo)
+                            for c in tree.children])
+
+    return signature
+
+
+def _minimal(root_signature, goal_t: tuple[Triple, ...]) -> bool:
+    """True when the tree of a signature admits no goal triple and each of
+    its deletions admits one; stops at the first deletion that admits none."""
+    front, deletions = root_signature
+    return _first_goal(front, goal_t) is None and all(
+        _first_goal(d, goal_t) is not None for d, _ in deletions)
 
 
 def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
@@ -324,11 +380,11 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
 
     Condition one: the graph is partitionable for no goal triple. Condition
     two: each one-vertex deletion is partitionable for some goal triple.
-    A deletion is decided and certified on the cotree itself, whose fold
-    treats the deleted leaf as absent. A failed first condition reports a
-    counterexample certificate. One ascending scan then decides the
-    deletions and stops at the least failing vertex; when none fails, each
-    triple it found is certified, labels carried against the original ids.
+    Both are read off the tree's signature, whose deletion frontiers treat
+    the deleted leaf as absent. A failed first condition reports a
+    counterexample certificate; a failed second one reports the least
+    failing vertex. Otherwise each deletion is certified on the first goal
+    triple its frontier admits, labels carried against the original ids.
     """
     goal_t = _normalize_goal(goal)
     tree = _coerce_tree(graph_or_tree)
@@ -339,17 +395,19 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
             counterexample=FeasibleWitness(goal_t[0], ()))
     graph = realize(tree)
     report = partial(ObstructionReport, dsl=to_expr(tree), graph6=graph.to_graph6(), goal=goal_t)
-    t = _first_feasible(tree, goal_t)
+    front, deletions = _signatures(goal_t)(tree, {})
+    t = _first_goal(front, goal_t)
     if t is not None:
         cert = extract_certificate(tree, t)
         return report(is_obstruction=False, is_minimal=False,
                       counterexample=FeasibleWitness(t, cert.labels))
-    found = []
-    for v in range(graph.n):
-        t = _first_feasible(tree, goal_t, v)
-        if t is None:
-            return report(is_obstruction=True, is_minimal=False, failing_vertex=v)
-        found.append(t)
+    found = [None] * graph.n
+    for d, mask in deletions:
+        t = _first_goal(d, goal_t)
+        for v in iter_bits(mask):
+            found[v] = t
+    if None in found:
+        return report(is_obstruction=True, is_minimal=False, failing_vertex=found.index(None))
     witnesses = []
     for v, t in enumerate(found):
         rest = [u for u in range(graph.n) if u != v]
@@ -435,81 +493,13 @@ def is_family_free(graph, family) -> bool:
 # -- exhaustive search -------------------------------------------------
 
 
-def _minimality_test(goal_t: tuple[Triple, ...]):
-    """The search's minimality test: it agrees with _is_minimal on
-    normalized cotrees and pays off on trees that share subtrees, as the
-    trees of one enumerate_cographs call do.
-
-    It keeps, for each non-root node it meets, the node's frontier and the
-    distinct frontiers of its one-leaf deletions, keyed by the node itself,
-    so a shared subtree is folded once. A deletion in child i combines the
-    children before i, the deleted child and the children after i; both
-    combines are exact, commutative and associative, so the order does not
-    change the frontier. Feasibility is hereditary, so a non-root node that
-    is infeasible, or has an infeasible deletion, is kept as None: a tree
-    with it as a child, and another child to delete a vertex from, is not
-    minimal. Normalized trees on two or more vertices have at least two
-    children at the root. Recursion goes as deep as the tree.
-    """
-    box = Triple(*map(max, zip(*goal_t)))
-    region = (box.p, box.p + box.q, box.p + box.r)
-    leaf = _leaf_frontier(region)
-
-    def feasible(front) -> bool:
-        return any(a <= p and b <= q and c <= r for a, b, c in front for p, q, r in goal_t)
-
-    # a leaf's one deletion leaves the empty graph, which every goal admits
-    leaf_signature = (leaf, (_ABSENT,)) if feasible(leaf) else None
-    known: dict = {}
-
-    def deletions(kind: str, signatures: list, before: list):
-        """Frontiers of the one-leaf deletions below a node, lazily, from
-        its children's signatures and the frontiers of their prefixes."""
-        after = _ABSENT
-        for (front, deleted), prefix in zip(reversed(signatures), reversed(before)):
-            for d in deleted:
-                yield _combine(kind, _combine(kind, prefix, d, region), after, region)
-            after = _combine(kind, front, after, region)
-
-    def split(node):
-        """node's frontier and its deletions' frontiers, or None when a
-        child's signature is None."""
-        signatures = [leaf_signature if isinstance(c, Leaf) else signature(c)
-                      for c in node.children]
-        if None in signatures:
-            return None
-        kind = "U" if isinstance(node, Union) else "J"
-        before = [_ABSENT, *_prefix_frontiers(node, [front for front, _ in signatures], region)]
-        return before.pop(), deletions(kind, signatures, before)
-
-    def signature(node):
-        """(frontier, distinct deletion frontiers) of a non-root node, or None."""
-        if node not in known:
-            sig = split(node)
-            if sig is not None and feasible(sig[0]):
-                distinct = set(sig[1])
-                sig = (sig[0], tuple(distinct)) if all(map(feasible, distinct)) else None
-            else:
-                sig = None
-            known[node] = sig
-        return known[node]
-
-    def is_minimal(tree: CotreeNode) -> bool:
-        if isinstance(tree, Leaf):
-            return not feasible(leaf)
-        sig = split(tree)
-        return sig is not None and not feasible(sig[0]) and all(map(feasible, sig[1]))
-
-    return is_minimal
-
-
 def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[ObstructionReport]:
     """All minimal obstructions for goal among cographs on <= n_max vertices.
 
     Enumerates one representative per isomorphism class, in one process, and
     returns the reports in enumeration order: by vertex count, then canonical
-    code. The test on the cotree comes first, so only minimal obstructions
-    pay for a report; each vertex count gets its own test, since no node is
+    code. The signature decider comes first, so only minimal obstructions
+    pay for a report; each vertex count gets its own memo, since no node is
     shared between two enumerations. jobs must be at least 1 and has no
     other effect.
     """
@@ -518,9 +508,10 @@ def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[Obstruc
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     goal_t = _normalize_goal(goal)
+    signature = _signatures(goal_t)
     found = []
     for n in range(1, n_max + 1):
-        is_minimal = _minimality_test(goal_t)
-        found += [is_minimal_obstruction(tree, goal_t)
-                  for tree in enumerate_cographs(n) if is_minimal(tree)]
+        memo: dict = {}
+        found += [is_minimal_obstruction(tree, goal_t) for tree in enumerate_cographs(n)
+                  if _minimal(signature(tree, memo), goal_t)]
     return found

@@ -6,10 +6,14 @@ has one Leaf and one internal child per level.
 """
 import json
 
+import pytest
+
 from cographpart import (
     Join,
     Leaf,
+    Triple,
     Union,
+    build_H,
     canonical_code,
     check_partition,
     chromatic_number,
@@ -17,6 +21,7 @@ from cographpart import (
     extract_certificate,
     feasible_set,
     height,
+    is_minimal_obstruction,
     leaf_count,
     leaves,
     max_join_children,
@@ -28,6 +33,7 @@ from cographpart import (
     strength_profile,
     to_expr,
 )
+from cographpart import obstructions
 from cographpart.cli import main
 
 
@@ -107,3 +113,17 @@ def test_cli_certificate_on_deep_and_wide_input(capsys):
         labels = [item["class"] for item in sorted(data["labels"], key=lambda x: x["v"])]
         budget = tuple(int(x) for x in triple.split(","))
         assert check_partition(realize(parse_expr(dsl)), labels, budget)
+
+
+def test_caterpillar_minimality():
+    """The report, build_H and the search decide minimality on the
+    1,200-level caterpillar: its clique has 601 vertices, so deleting
+    vertex 0 leaves it infeasible for (2,0,0)."""
+    deep = caterpillar(1200)
+    report = is_minimal_obstruction(deep, (2, 0, 0))
+    assert report.is_obstruction and not report.is_minimal
+    assert report.failing_vertex == 0
+    with pytest.raises(ValueError, match="not a minimal obstruction"):
+        build_H(deep, parse_expr("C(U(3*K(3)))"), 2)
+    goal_t = (Triple(2, 0, 0),)
+    assert obstructions._minimal(obstructions._signatures(goal_t)(deep, {}), goal_t) is False

@@ -15,6 +15,7 @@ import pytest
 from cographpart import (
     FAMILY_A2_DSL,
     Graph,
+    Leaf,
     Triple,
     build_H,
     canonical_code,
@@ -42,8 +43,9 @@ from cographpart import (
     vertex_arboricity,
 )
 from cographpart import obstructions
-from cographpart.cotree import _as_graph
+from cographpart.cotree import CotreeNode, _as_graph, leaves
 from cographpart.graph import iter_bits
+from cographpart.solver import _feasible_set
 
 from conftest import scrambled, to_nx
 
@@ -217,6 +219,21 @@ def test_build_h_scrambled_inputs():
     assert canonical_code(build_H(scrambled(g1, rng), scrambled(g1, rng), 2)) == want
 
 
+def test_build_h_takes_any_leaf_ids():
+    """build_H decides its inputs on their leaves whatever the ids are,
+    negative or far above the vertex count, and builds no mask that size."""
+    def shifted(tree, by):
+        return type(tree)(tuple(Leaf(c.vertex + by) if isinstance(c, Leaf) else shifted(c, by)
+                                for c in tree.children))
+
+    g1 = parse_expr("C(U(3*K(3)))")
+    want = canonical_code(build_H(g1, g1, 2))
+    for by in (-100, 10**15):
+        assert canonical_code(build_H(shifted(g1, by), shifted(g1, by), 2)) == want
+        with pytest.raises(ValueError, match="chromatic number 5"):
+            build_H(g1, shifted(parse_expr("K(5)"), by), 2)
+
+
 def test_build_h_rejects_bad_inputs():
     g1 = parse_expr("C(U(3*K(3)))")
     # K_5 is a minimal obstruction for (2,0,0) but has chromatic number 5
@@ -320,7 +337,7 @@ def test_failing_vertex_is_least(goal):
     for n in range(1, 8):
         for tree in (t for e in enumerate_cographs(n) for t in (e, scrambled(e, rng))):
             report = is_minimal_obstruction(tree, goal)
-            assert obstructions._is_minimal(tree, report.goal) == report.is_minimal
+            assert _is_minimal(tree, report.goal) == report.is_minimal
             if not report.is_obstruction:
                 continue
             seen += 1
@@ -653,25 +670,73 @@ FAST_PATH_GOALS = [Triple(*t) for t in product(range(3), repeat=3)] + [
     [Triple(2, 0, 0), Triple(0, 3, 0)]]
 
 
+def _first_feasible(tree: CotreeNode | None, goal_t: tuple[Triple, ...],
+                    without: int | None = None) -> Triple | None:
+    """The first goal triple that tree's graph admits, less the vertex without
+    when given, or None; one fold at the least box that holds every goal
+    triple decides them all."""
+    fs = _feasible_set(tree, Triple(*map(max, zip(*goal_t))), without)
+    return next((t for t in goal_t if fs.contains(t)), None)
+
+
+def _is_minimal(tree: CotreeNode, goal_t: tuple[Triple, ...]) -> bool:
+    """True when tree is a minimal obstruction for the goal, decided on the
+    cotree: infeasible itself, and feasible less any one of its leaves."""
+    return _first_feasible(tree, goal_t) is None and all(
+        _first_feasible(tree, goal_t, v) is not None for v in leaves(tree))
+
+
 def fast_path_disagreements(n_max, goal):
-    """Cographs on <= n_max vertices where the search's minimality test and
-    _is_minimal disagree, with one test per vertex count run in enumeration
-    order, as the search runs it."""
+    """Cographs on <= n_max vertices where the signature decider and the
+    per-tree deletion folds of _is_minimal disagree, with one memo per
+    vertex count in enumeration order, as the search runs it."""
     goal_t = obstructions._normalize_goal(goal)
+    signature = obstructions._signatures(goal_t)
     bad = []
     for n in range(1, n_max + 1):
-        is_minimal = obstructions._minimality_test(goal_t)
+        memo = {}
         bad += [to_expr(tree) for tree in enumerate_cographs(n)
-                if is_minimal(tree) != obstructions._is_minimal(tree, goal_t)]
+                if obstructions._minimal(signature(tree, memo), goal_t)
+                != _is_minimal(tree, goal_t)]
+    return bad
+
+
+def deletion_disagreements(n_max, goal):
+    """Cographs on <= n_max vertices, each also as a scrambled copy, where
+    the masks of the root signature disagree with one _first_feasible fold
+    per deleted vertex: on the first goal triple of each deletion, or on
+    the least failing vertex, the lowest id of the masks whose frontier
+    admits no goal triple. The masks must also cover each id once."""
+    goal_t = obstructions._normalize_goal(goal)
+    signature = obstructions._signatures(goal_t)
+    rng = random.Random(5)
+    bad = []
+    for n in range(1, n_max + 1):
+        memo = {}
+        for tree in (t for e in enumerate_cographs(n) for t in (e, scrambled(e, rng))):
+            found, failing, covered = {}, 0, 0
+            for front, mask in signature(tree, memo)[1]:
+                t = obstructions._first_goal(front, goal_t)
+                failing |= mask if t is None else 0
+                covered += mask.bit_count()
+                found.update(dict.fromkeys(iter_bits(mask), t))
+            want = [_first_feasible(tree, goal_t, v) for v in range(n)]
+            least = next((v for v, t in enumerate(want) if t is None), -1)
+            if (covered != n or found != dict(enumerate(want))
+                    or (failing & -failing).bit_length() - 1 != least):
+                bad.append(to_expr(tree))
     return bad
 
 
 @pytest.mark.parametrize("goal", FAST_PATH_GOALS, ids=lambda goal: "-".join(
     "".join(map(str, t)) for t in (goal if isinstance(goal, list) else [goal])))
 def test_minimality_test_matches_slow_reference(goal):
-    """The search's test, which keeps frontiers per shared subtree, against
-    the per-tree deletion folds on every cograph with <= 8 vertices."""
+    """The signature decider, which keeps signatures per shared subtree,
+    against the per-tree deletion folds: its verdict on every cograph with
+    <= 8 vertices, and its deletion triples and least failing vertex on
+    every cograph with <= 7 vertices and a scrambled copy of each."""
     assert fast_path_disagreements(8, goal) == []
+    assert deletion_disagreements(7, goal) == []
 
 
 def test_minimality_test_matches_slow_reference_n10():
