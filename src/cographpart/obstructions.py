@@ -9,24 +9,24 @@ one-vertex deletions suffices.
 The module ships the known catalogs (the seven arboricity-2 obstructions,
 their parametrized generalization, the star-forest join family, and the
 doubling construction that escalates arboricity by one), plus an induced
-containment test and a search over all cographs up to a vertex bound.
+containment test and a search that builds the frontier-minimal
+cographs up to a vertex bound.
 """
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, combinations_with_replacement
-from operator import gt, or_
+from operator import gt, itemgetter, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .cotree import (
-    CotreeNode, Leaf, Union, _as_graph, _coerce_tree, _fold, canonical_code, complement_tree,
-    enumerate_cographs, join_of, parse_expr, realize, relabel, to_expr,
-    union_of,
+    CotreeNode, Join, Leaf, Union, _as_graph, _coerce_tree, _fold, canonical_code,
+    complement_tree, join_of, parse_expr, realize, relabel, to_expr, union_of,
 )
 from .graph import Graph, iter_bits
 from .solver import (
-    _ABSENT, Triple, _certificate, _combine, _leaf_frontier, _prefix_frontiers,
+    _ABSENT, Triple, _certificate, _combine, _leaf_frontier,
     as_triple, chromatic_number, extract_certificate,
 )
 
@@ -228,7 +228,7 @@ def build_H(g1, g2, p: int) -> CotreeNode:
         if tree is None:
             raise ValueError(f"{which} input is empty")
         tree = relabel(tree)  # masks index leaf ids; the output is relabelled anyway
-        if not _minimal(signature(tree, {}), goal_t):
+        if not _minimal(signature(tree, None), goal_t):
             raise ValueError(
                 f"{which} input is not a minimal obstruction for ({p}, 0, 0)")
         chi = chromatic_number(tree)
@@ -315,61 +315,52 @@ def _first_goal(front, goal_t: tuple[Triple, ...]) -> Triple | None:
     return None
 
 
+def _region(goal_t: tuple[Triple, ...]) -> tuple[int, int, int]:
+    """The frontier region of the least box that holds every goal triple."""
+    box = Triple(*map(max, zip(*goal_t)))
+    return box.p, box.p + box.q, box.p + box.r
+
+
+def _extend(kind: str, left, right, region: tuple[int, int, int]):
+    """The signature of the Union (kind "U") or Join ("J") of two disjoint
+    graphs, from theirs: the combined frontier, and each deletion on one side
+    combined with the other side's frontier, one pair per distinct frontier
+    with the masks ORed. Combines are commutative, so either order works."""
+    (fl, dl), (fr, dr) = left, right
+    merged: dict = {}
+    for pairs, rest in ((dl, fr), (dr, fl)):
+        for d, mask in pairs:
+            d = _combine(kind, d, rest, region)
+            merged[d] = merged.get(d, 0) | mask
+    return _combine(kind, fl, fr, region), tuple(merged.items())
+
+
 def _signatures(goal_t: tuple[Triple, ...]):
     """The one minimality decider: signature(tree, memo) gives tree's
     frontier in the goal's region and its one-leaf deletions as (frontier,
     mask) pairs, mask holding the ids of the leaves whose deletion gives
-    that frontier. A node below the root keeps one pair per distinct
-    frontier in memo, where _fold stores it by identity, so the trees that
-    share a subtree fold it once; the root's pairs come lazily, so a caller
-    can stop at the first one. A deletion in child i combines the deleted
-    child with the children before and after i; the combines are exact,
-    commutative and associative, so the order does not matter.
+    that frontier. A node extends its first child's signature by each other
+    child in turn (combines are associative). A memo, which may be None,
+    keeps every node's signature, stored by _fold under the node's
+    identity, so the trees that share a subtree fold it once.
     """
-    box = Triple(*map(max, zip(*goal_t)))
-    region = (box.p, box.p + box.q, box.p + box.r)
+    region = _region(goal_t)
     leaf = _leaf_frontier(region)
 
     def leaf_signature(node: Leaf):
         # a leaf's one deletion leaves the empty graph
         return leaf, ((_ABSENT, 1 << node.vertex),)
 
-    def deletions(kind: str, signatures: list, before: list):
-        """Deletion frontiers and masks below a node, from its children's
-        signatures and the frontiers of their prefixes, last child first."""
-        after = _ABSENT
-        for i in reversed(range(len(signatures))):
-            front, deleted = signatures[i]
-            rest = _combine(kind, before[i], after, region)  # the other children
-            for d, mask in deleted:
-                yield _combine(kind, d, rest, region), mask
-            if i:  # with child 0 it would be the node's own frontier, never used
-                after = _combine(kind, front, after, region)
-
-    def split(node, signatures: list):
-        kind = "U" if isinstance(node, Union) else "J"
-        before = [_ABSENT, *_prefix_frontiers(node, [front for front, _ in signatures], region)]
-        return before.pop(), deletions(kind, signatures, before)
-
     def node_signature(node, signatures: list):
-        front, pairs = split(node, signatures)
-        merged: dict = {}
-        for d, mask in pairs:
-            merged[d] = merged.get(d, 0) | mask
-        return front, tuple(merged.items())
+        kind = "U" if isinstance(node, Union) else "J"
+        return reduce(lambda sig, child: _extend(kind, sig, child, region), signatures)
 
-    def signature(tree: CotreeNode, memo: dict):
-        if isinstance(tree, Leaf):
-            return leaf_signature(tree)
-        return split(tree, [memo.get(c) or _fold(c, leaf_signature, node_signature, memo)
-                            for c in tree.children])
-
-    return signature
+    return lambda tree, memo: _fold(tree, leaf_signature, node_signature, memo)
 
 
 def _minimal(root_signature, goal_t: tuple[Triple, ...]) -> bool:
     """True when the tree of a signature admits no goal triple and each of
-    its deletions admits one; stops at the first deletion that admits none."""
+    its deletions admits one."""
     front, deletions = root_signature
     return _first_goal(front, goal_t) is None and all(
         _first_goal(d, goal_t) is not None for d, _ in deletions)
@@ -395,7 +386,7 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
             counterexample=FeasibleWitness(goal_t[0], ()))
     graph = realize(tree)
     report = partial(ObstructionReport, dsl=to_expr(tree), graph6=graph.to_graph6(), goal=goal_t)
-    front, deletions = _signatures(goal_t)(tree, {})
+    front, deletions = _signatures(goal_t)(tree, None)
     t = _first_goal(front, goal_t)
     if t is not None:
         cert = extract_certificate(tree, t)
@@ -490,28 +481,70 @@ def is_family_free(graph, family) -> bool:
     return not any(contains_induced(g, m) for m in members)
 
 
-# -- exhaustive search -------------------------------------------------
+# -- search by closure ------------------------------------------------
+#
+# A cograph is frontier-minimal for a goal when each one-vertex deletion
+# changes its frontier in the goal's region, the congruence of the
+# finite-congruence method (Fellows & Langston 1989, Lagergren & Arnborg 1991).
+# 1. Every minimal obstruction is frontier-minimal: it admits no goal triple,
+#    and each of its deletions admits one.
+# 2. The children of a frontier-minimal node, and the partial product of any
+#    subset of them, are frontier-minimal: a combine sees a child only through
+#    its frontier, so a deletion that kept a child's or a partial product's
+#    frontier would keep the node's. So pruning the others loses nothing.
+# 3. Adding a child to a partial product strictly raises its frontier (a graph
+#    admits every triple its supergraphs admit): were it unchanged, deleting a
+#    vertex of that child would leave the frontier between two equal ones.
+# 4. Frontiers in a region form a finite order. By 3 the frontiers of a node's
+#    partial products, and those along a root path, are chains in it, so arity
+#    and height are bounded, and frontier-minimal cographs are finitely many.
 
 
 def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[ObstructionReport]:
     """All minimal obstructions for goal among cographs on <= n_max vertices.
 
-    Enumerates one representative per isomorphism class, in one process, and
-    returns the reports in enumeration order: by vertex count, then canonical
-    code. The signature decider comes first, so only minimal obstructions
-    pay for a report; each vertex count gets its own memo, since no node is
-    shared between two enumerations. jobs must be at least 1 and has no
-    other effect.
+    Builds every frontier-minimal cograph on <= n_max vertices (see above)
+    in one process, and reports the minimal obstructions among them in
+    enumerate_cographs' layout, by vertex count and then canonical code. A
+    large n_max prunes nothing, so the list is then complete. jobs must be
+    at least 1 and has no other effect.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     goal_t = _normalize_goal(goal)
-    signature = _signatures(goal_t)
-    found = []
-    for n in range(1, n_max + 1):
-        memo: dict = {}
-        found += [is_minimal_obstruction(tree, goal_t) for tree in enumerate_cographs(n)
-                  if _minimal(signature(tree, memo), goal_t)]
-    return found
+    region = _region(goal_t)
+    # an entry: (vertex count, code, complement's code, cotree, signature). A
+    # Union entry has two or more children, each the leaf or a Join entry; a
+    # Join entry the same with Union entries. Signatures have zero masks.
+    leaf = (1, b"L", b"L", Leaf(0), (_leaf_frontier(region), ((_ABSENT, 0),)))
+    pools = {"U": [leaf], "J": [leaf]}  # the children each kind takes
+    # partial products: [kind, vertex count, children, signature, next pool index]
+    products = [[kind, 1, (leaf,), leaf[4], 0] for kind in "UJ"]
+    while any(p[4] < len(pools[p[0]]) for p in products):  # until every child is tried
+        for product in products:  # grows as it is walked
+            kind, size, kids, sig, start = product
+            pool, other = pools[kind], "J" if kind == "U" else "U"
+            product[4] = len(pool)
+            for i in range(start, len(pool)):  # no child found before the last one
+                child = pool[i]
+                if size + child[0] > n_max:
+                    continue
+                front, pairs = _extend(kind, sig, child[4], region)
+                if any(d == front for d, _ in pairs):
+                    continue  # not frontier-minimal
+                # enumerate_cographs' layout: a Union's children by (size,
+                # complement's code), a Join's by (size, code)
+                group = sorted((*kids, child), key=itemgetter(0, 2 if kind == "U" else 1))
+                node = (Union if kind == "U" else Join)(tuple(e[3] for e in group))
+                entry = (size + child[0], canonical_code(node), canonical_code(complement_tree(node)),
+                         node, (front, pairs))
+                pools[other].append(entry)
+                products += [[kind, entry[0], group, entry[4], i],
+                             [other, entry[0], (entry,), entry[4], len(pools[other]) - 1]]
+
+    # "J(" < "U(", so Join-rooted entries come first at each vertex count
+    hits = sorted((e for e in pools["U"] + pools["J"][1:] if _minimal(e[4], goal_t)),
+                  key=itemgetter(0, 1))
+    return [is_minimal_obstruction(relabel(e[3]), goal_t) for e in hits]

@@ -73,3 +73,11 @@ def child_pythonpath():
         mp.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(cographpart.__file__)),
                   prepend=os.pathsep)
         yield
+
+
+@pytest.fixture(scope="session")
+def arboricity_three_obstructions():
+    """The reports of every minimal (3,0,0) obstruction. No frontier-minimal
+    cograph for (3,0,0) has more than 38 vertices, so n_max = 40 prunes
+    nothing and the list is complete."""
+    return cographpart.search_minimal_obstructions(40, (3, 0, 0))

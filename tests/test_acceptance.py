@@ -176,10 +176,11 @@ def test_join_construction_tower():
           f"in {elapsed:.1f}s")
 
 
-def test_structural_bounds_on_found_obstructions():
+def test_structural_bounds_on_found_obstructions(arboricity_three_obstructions):
     found = [(t, 2) for t in family_A2()]
     found += [(parse_expr(r.dsl), r.goal[0].solver_weight())
               for r in search_minimal_obstructions(7, Triple(1, 1, 0))]
+    found += [(parse_expr(r.dsl), 3) for r in arboricity_three_obstructions]
     found += [(t, 3) for t in family_Ap(3)]
     for i in range(4):
         found += [(t, 3) for t in iter_family_Oi(3, i)]

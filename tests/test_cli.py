@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -416,6 +417,18 @@ def test_search_takes_large_jobs(capsys):
     assert code == 0
     assert (0, out) == run(capsys, *search)
     assert json.loads(out)["dsl"] == "K(5)"
+
+
+def test_search_with_a_large_bound(capsys):
+    """No frontier-minimal cograph for (2,0,0) has more than 12 vertices, so
+    --n 25, where about 2 * 10**11 cographs exist, prints what --n 11 prints,
+    without walking them."""
+    search = ("obstructions", "search", "--goal", "(2,0,0)", "--n")
+    start = time.perf_counter()
+    code, out = run(capsys, *search, "25")
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert (0, out) == run(capsys, *search, "11")
+    assert len(out.splitlines()) == 7
 
 
 def test_obstructions_count(capsys):

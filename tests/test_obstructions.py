@@ -1,7 +1,6 @@
 """Tests for obstruction families, the minimality checker and search."""
 import concurrent.futures
 import hashlib
-import inspect
 import json
 import multiprocessing.process
 import random
@@ -17,6 +16,7 @@ from cographpart import (
     Graph,
     Leaf,
     Triple,
+    brute_force_partitionable,
     build_H,
     canonical_code,
     check_partition,
@@ -42,7 +42,7 @@ from cographpart import (
     to_expr,
     vertex_arboricity,
 )
-from cographpart import obstructions
+from cographpart import cotree, obstructions
 from cographpart.cotree import CotreeNode, _as_graph, leaves
 from cographpart.graph import iter_bits
 from cographpart.solver import _feasible_set
@@ -640,6 +640,15 @@ def test_search_reports_pinned(n_max, goal, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the digest of the seven (2,0,0) reports, at any n_max >= 11
+BABCFD8B = "babcfd8b95f479036d799210ed6a310c9d8b39ef5b5ff20d214bb049b7ed4849"
+
+
+def reports_digest(reports):
+    text = json.dumps([r.to_json() for r in reports], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("goal, digest, scrambled_digest", [
     (Triple(2, 0, 0), "058afe7bd5eaaee2688a9ce38191da108180a65edbc3961595f7bafe5c5bb512",
      "092cd9dbfd958d5905d988b9fbecfe96f4b73b799d63043d4063fdebe08dafb3"),
@@ -728,8 +737,11 @@ def deletion_disagreements(n_max, goal):
     return bad
 
 
-@pytest.mark.parametrize("goal", FAST_PATH_GOALS, ids=lambda goal: "-".join(
-    "".join(map(str, t)) for t in (goal if isinstance(goal, list) else [goal])))
+def goal_id(goal):
+    return "-".join("".join(map(str, t)) for t in (goal if isinstance(goal, list) else [goal]))
+
+
+@pytest.mark.parametrize("goal", FAST_PATH_GOALS, ids=goal_id)
 def test_minimality_test_matches_slow_reference(goal):
     """The signature decider, which keeps signatures per shared subtree,
     against the per-tree deletion folds: its verdict on every cograph with
@@ -764,16 +776,63 @@ def test_search_starts_no_process(monkeypatch):
     assert serial
 
 
-def test_search_enumerates_once_per_vertex_count(monkeypatch):
-    """The search draws its cographs from one enumerate_cographs generator
-    per vertex count, so wrapping that name sees every cograph examined."""
-    assert inspect.isgeneratorfunction(enumerate_cographs)
-    calls = []
+def test_search_enumerates_no_cograph(monkeypatch):
+    """The search builds the frontier-minimal cographs instead of drawing
+    every cograph from the enumerator: with enumerate_cographs refusing
+    every call, the (2,0,0) reports at n <= 11 keep their pinned digest."""
+    def refuse(n):
+        raise AssertionError("the search enumerated cographs")
 
-    def counting(n):
-        calls.append(n)
-        return enumerate_cographs(n)
+    monkeypatch.setattr(cotree, "enumerate_cographs", refuse)
+    monkeypatch.setattr(obstructions, "enumerate_cographs", refuse, raising=False)
+    assert reports_digest(search_minimal_obstructions(11, (2, 0, 0))) == BABCFD8B
 
-    monkeypatch.setattr(obstructions, "enumerate_cographs", counting)
-    search_minimal_obstructions(6, (2, 0, 0))
-    assert calls == [1, 2, 3, 4, 5, 6]
+
+def enumeration_search(n_max, goal):
+    """The search before the closure: every cograph on <= n_max vertices
+    from the enumerator, one memo per vertex count, and a report for each
+    that the signature decider calls minimal, in enumeration order."""
+    goal_t = obstructions._normalize_goal(goal)
+    signature = obstructions._signatures(goal_t)
+    found = []
+    for n in range(1, n_max + 1):
+        memo: dict = {}
+        found += [is_minimal_obstruction(tree, goal_t) for tree in enumerate_cographs(n)
+                  if obstructions._minimal(signature(tree, memo), goal_t)]
+    return found
+
+
+@pytest.mark.parametrize("goal", FAST_PATH_GOALS, ids=goal_id)
+def test_search_matches_enumeration(goal):
+    """The closure's reports equal the enumerating search's, byte for byte
+    and in the same order, on every cograph with <= 9 vertices."""
+    want = [r.to_json() for r in enumeration_search(9, goal)]
+    assert [r.to_json() for r in search_minimal_obstructions(9, goal)] == want
+
+
+def test_complete_arboricity_three_list(arboricity_three_obstructions):
+    """The complete list of minimal (3,0,0) obstructions: 84 members on 7-29
+    vertices. Those on <= 13 vertices are the exhaustive n <= 13 search's,
+    and the family_Ap(3) catalog is among them; the oracle confirms the
+    members on <= 8 vertices."""
+    reports = arboricity_three_obstructions
+    trees = [parse_expr(r.dsl) for r in reports]
+    sizes = [leaf_count(t) for t in trees]
+    assert len(reports) == 84 and (min(sizes), max(sizes)) == (7, 29)
+    assert sizes == sorted(sizes) and all(r.is_minimal for r in reports)
+    assert reports_digest(r for r, n in zip(reports, sizes) if n <= 13) == (
+        "42fd828d203b33955d81caf38f57c55b2537e01a820b97e5325d022d0dc55d2e")
+    assert codes(family_Ap(3)) <= codes(trees)
+    for t in (t for t, n in zip(trees, sizes) if n <= 8):
+        g = realize(t)
+        assert not brute_force_partitionable(g, (3, 0, 0))
+        assert all(brute_force_partitionable(g.induced_subgraph(set(range(g.n)) - {v}),
+                                             (3, 0, 0)) for v in range(g.n))
+
+
+def test_search_without_a_vertex_bound_finds_family_a2():
+    """With no effective vertex bound the (2,0,0) search is complete, and it
+    finds exactly the seven graphs of the paper's list."""
+    reports = search_minimal_obstructions(10**9, (2, 0, 0))
+    assert codes(parse_expr(r.dsl) for r in reports) == codes(family_A2())
+    assert reports_digest(reports) == BABCFD8B
