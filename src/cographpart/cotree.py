@@ -340,25 +340,56 @@ def to_expr(tree: CotreeNode) -> str:
 
 
 def realize(tree: CotreeNode) -> Graph:
-    """Build the graph a cotree describes; leaf ids must be a 0..n-1 bijection."""
-    ids = list(leaves(tree))
-    n = len(ids)
-    if sorted(ids) != list(range(n)):
-        raise ValueError("leaf ids are not a bijection with 0..n-1")
-    rows = [0] * n
+    """Build the graph a cotree describes; leaf ids must be a 0..n-1 bijection.
 
-    def node(n: CotreeNode, masks: list[int]) -> int:
-        total = 0
-        for m in masks:
-            total |= m
-        if isinstance(n, Join):
-            for m in masks:
-                other = total & ~m
-                for v in iter_bits(m):
-                    rows[v] |= other
+    Two vertices are adjacent iff their lowest common ancestor is a Join, so
+    a vertex's row is the OR, over its Join ancestors, of their vertices not
+    under the child on its path. One walk from the root hands each subtree
+    that OR for its Join ancestors so far; a subtree is a stretch lo..hi-1
+    of leaf positions, whose vertices are bits lo..hi-1 when the ids run
+    left to right, and otherwise the difference of two prefix ORs of ids.
+    """
+    ids: list[int] = []
+    sizes: dict = {}
+
+    def leaf(node: Leaf) -> int:
+        ids.append(node.vertex)
+        return 1
+
+    def size(node: CotreeNode, counts: list[int]) -> int:
+        sizes[node] = total = sum(counts)
         return total
 
-    _fold(tree, lambda leaf: 1 << leaf.vertex, node)
+    # no memo: a node placed twice must list its leaves twice
+    _fold(tree, leaf, size)
+    n = len(ids)
+    if ids != list(range(n)):
+        if sorted(ids) != list(range(n)):
+            raise ValueError("leaf ids are not a bijection with 0..n-1")
+        prefix = [0]
+        for v in ids:
+            prefix.append(prefix[-1] | 1 << v)
+
+        def span(lo: int, hi: int) -> int:
+            return prefix[hi] ^ prefix[lo]
+    else:
+        def span(lo: int, hi: int) -> int:
+            return (1 << hi) - (1 << lo)
+
+    rows = [0] * n
+    # (internal node, its first leaf position, OR from its Join ancestors)
+    stack = [] if isinstance(tree, Leaf) else [(tree, 0, 0)]
+    while stack:
+        node, lo, above = stack.pop()
+        whole = span(lo, lo + sizes[node]) if isinstance(node, Join) else 0
+        for child in node.children:
+            hi = lo + (1 if isinstance(child, Leaf) else sizes[child])
+            row = above | whole ^ span(lo, hi) if whole else above
+            if isinstance(child, Leaf):
+                rows[child.vertex] = row
+            else:
+                stack.append((child, lo, row))
+            lo = hi
     return Graph._unsafe(n, tuple(rows))
 
 

@@ -8,10 +8,22 @@ and join.
 graph6 and sparse6 share one bit layer: _decode_order turns a body into one
 string of "0"/"1" (six bits per character, most significant first) and
 _chars packs such a string back, so each codec reads its fields with
-int(s, 2) and writes them with format.
+int(s, 2) and writes them with format. _chars packs in bulk: the string
+becomes one int, its bytes go through base64, which also writes six bits
+per character, and one translate maps base64's alphabet onto 63..126.
+
+The codecs work per vertex, never per edge in Python. The graph6 body
+lists column j (bit i of row j for i < j) for j = 1, 2, ..., so each row's
+bits below the diagonal are one slice of it. from_graph6 finds the bits
+above the diagonal by transposing the triangle, one block of about 2**20
+characters at a time: the block's columns are padded to one width, and a
+strided slice of their concatenation reads a row. to_sparse6 and
+to_edge_list_text write each vertex's records from tables of precomputed
+codes and names.
 """
 from __future__ import annotations
 
+import binascii
 import re
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -34,6 +46,21 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _symmetric(rows: Sequence[int]) -> bool:
+    """True iff bit u of rows[v] is set exactly when bit v of rows[u] is, for
+    rows with no self-loop."""
+    upper = 0
+    for v, row in enumerate(rows):
+        above = row >> (v + 1)
+        upper += above.bit_count()
+        for u in iter_bits(above):
+            if not rows[u + v + 1] >> v & 1:
+                return False
+    # every bit above the diagonal has its mirror below it; with as many bits
+    # below the diagonal as above, no bit below lacks one either
+    return 2 * upper == sum(row.bit_count() for row in rows)
+
+
 class Graph:
     """Simple undirected graph with int-bitset adjacency rows."""
 
@@ -50,10 +77,12 @@ class Graph:
         for v, row in enumerate(rows):
             if row & ~full or row >> v & 1:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1} or a self-loop")
-        for v, row in enumerate(rows):
-            for u in iter_bits(row):
-                if not rows[u] >> v & 1:
-                    raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        if not _symmetric(rows):
+            # rescan in row order, so the error names the first bit without a mirror
+            for v, row in enumerate(rows):
+                for u in iter_bits(row):
+                    if not rows[u] >> v & 1:
+                        raise ValueError(f"adjacency not symmetric at ({u}, {v})")
         self.n = n
         self._rows = tuple(rows)
 
@@ -217,14 +246,23 @@ class Graph:
         need = (n * (n - 1) // 2 + 5) // 6
         if len(bits) != 6 * need:
             raise ValueError(f"graph6 body has {len(bits) // 6} groups, expected {need}")
+        # row j's bits below the diagonal are column j, read straight off the
+        # body; its bits above come from transposing the triangle
         rows = [0] * n
         pos = 0
         for j in range(1, n):
-            col = int(bits[pos : pos + j][::-1], 2)
+            rows[j] = int(bits[pos : pos + j][::-1], 2)
             pos += j
-            rows[j] = col
-            for i in iter_bits(col):
-                rows[i] |= 1 << j
+        step = 1 + _BLOCK // (n + 1)
+        for lo in range(1, n, step):
+            hi = min(n, lo + step)
+            # columns hi-1 down to lo, each padded to hi bits: bit i of
+            # column j is character i of its stretch, so the stretch-strided
+            # slice at i reads row i's bits j = hi-1 .. lo, most significant first
+            block = "".join([bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(hi, "0")
+                             for j in range(hi - 1, lo - 1, -1)])
+            for i in range(hi - 1):
+                rows[i] |= int(block[i::hi], 2) << lo
         return cls._unsafe(n, tuple(rows))
 
     # -- sparse6 -------------------------------------------------------
@@ -232,15 +270,20 @@ class Graph:
     def to_sparse6(self) -> str:
         n = self.n
         k = max(1, (n - 1).bit_length())
-        records = []
+        # each vertex v with a lower neighbour starts its records by moving
+        # the current vertex to v: a set bit alone when v follows the last
+        # such vertex, and an explicit record of v otherwise
+        code = [format(u, f"0{k}b") for u in range(n)]
+        zero = ["0" + c for c in code]
+        parts = []
         cur = 0
-        for v, u in sorted((max(e), min(e)) for e in self.edges()):
-            if v == cur:
-                records.append(f"0{u:0{k}b}")
-            else:
-                records.append(f"1{u:0{k}b}" if v == cur + 1 else f"1{v:0{k}b}0{u:0{k}b}")
+        for v, row in enumerate(self._rows):
+            lower = row & ((1 << v) - 1)
+            if lower:
+                records = "".join([zero[u] for u in iter_bits(lower)])
+                parts.append("1" + (records[1:] if v == cur + 1 else code[v] + records))
                 cur = v
-        bits = "".join(records)
+        bits = "".join(parts)
         # pad with 1s; guard against the padding spelling a phantom edge at n-1
         pad = -len(bits) % 6
         if k < 6 and n == (1 << k) and pad >= k and cur < n - 1:
@@ -272,8 +315,14 @@ class Graph:
     # -- plain text ----------------------------------------------------
 
     def to_edge_list_text(self) -> str:
+        name = [str(v) for v in range(self.n)]
         lines = [str(self.n)]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
+        for v, row in enumerate(self._rows):
+            above = row >> (v + 1)
+            if above:
+                head = name[v] + " "
+                lines.append(head + ("\n" + head).join(
+                    [name[u + v + 1] for u in iter_bits(above)]))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -299,15 +348,24 @@ def _strip_header(text: str, header: str) -> str:
     return text
 
 
-# the six bits of each graph6 character 63..126, both ways
-_CHAR = {f"{c:06b}": chr(c + 63) for c in range(64)}
-_SIX_BITS = str.maketrans({ch: bits for bits, ch in _CHAR.items()})
+# the six bits of each graph6 character 63..126
+_SIX_BITS = str.maketrans({chr(c + 63): f"{c:06b}" for c in range(64)})
+# base64 writes six bits per character too, as A-Z a-z 0-9 + /
+_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
+# characters of graph6 body transposed at a time by from_graph6
+_BLOCK = 1 << 20
 
 
 def _chars(bits: str) -> str:
     """Pack a string of "0"/"1" six bits per character, padding the end with 0s."""
-    bits += "0" * (-len(bits) % 6)
-    return "".join([_CHAR[bits[i : i + 6]] for i in range(0, len(bits), 6)])
+    if not bits:
+        return ""
+    size = -(-len(bits) // 6)
+    # whole bytes in groups of three, so base64 needs no "=" padding
+    bits += "0" * (-len(bits) % 24)
+    raw = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    return binascii.b2a_base64(raw, newline=False)[:size].translate(_FROM_BASE64).decode()
 
 
 def _encode_order(n: int) -> str:

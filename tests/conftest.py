@@ -1,4 +1,5 @@
-"""Shared helpers: networkx conversion, the small-graph atlas and scrambled cotrees."""
+"""Shared helpers: networkx conversion, random graphs, the small-graph atlas
+and scrambled cotrees."""
 import os
 from functools import lru_cache
 from itertools import combinations
@@ -21,6 +22,11 @@ def from_nx(g: nx.Graph) -> Graph:
     index = {v: i for i, v in enumerate(sorted(g.nodes()))}
     return Graph.from_edge_list(
         g.number_of_nodes(), [(index[u], index[v]) for u, v in g.edges()])
+
+
+def random_graph(rng, n, p=0.5):
+    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+    return Graph.from_edge_list(n, edges)
 
 
 def has_p4_brute(graph: Graph) -> bool:

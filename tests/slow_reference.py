@@ -1,0 +1,102 @@
+"""Slow reference codecs, realize and row check: the straightforward per-edge
+versions that the library's bulk routines replaced, kept verbatim (methods
+become functions of the Graph) so tests can require byte-identical results.
+"""
+from cographpart.cotree import Join, _fold, leaves
+from cographpart.graph import Graph, _decode_order, _encode_order, _strip_header, iter_bits
+
+# the six bits of each graph6 character 63..126
+_CHAR = {f"{c:06b}": chr(c + 63) for c in range(64)}
+
+
+def _chars(bits: str) -> str:
+    """Pack a string of "0"/"1" six bits per character, padding the end with 0s."""
+    bits += "0" * (-len(bits) % 6)
+    return "".join([_CHAR[bits[i : i + 6]] for i in range(0, len(bits), 6)])
+
+
+def check_rows(n: int, rows) -> None:
+    """Graph(n, rows)'s validation: raise ValueError where it must."""
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full or row >> v & 1:
+            raise ValueError(f"row {v} has bits outside 0..{n - 1} or a self-loop")
+    for v, row in enumerate(rows):
+        for u in iter_bits(row):
+            if not rows[u] >> v & 1:
+                raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+
+
+def to_graph6(self: Graph) -> str:
+    # column j lists the bits of rows[j] below the diagonal, vertex 0 first
+    bits = "".join(
+        format(self._rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, self.n))
+    return _encode_order(self.n) + _chars(bits)
+
+
+def from_graph6(text: str) -> Graph:
+    data = _strip_header(text, ">>graph6<<")
+    if data.startswith(":"):
+        raise ValueError("sparse6 input: use from_sparse6")
+    n, bits = _decode_order(data)
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(bits) != 6 * need:
+        raise ValueError(f"graph6 body has {len(bits) // 6} groups, expected {need}")
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        col = int(bits[pos : pos + j][::-1], 2)
+        pos += j
+        rows[j] = col
+        for i in iter_bits(col):
+            rows[i] |= 1 << j
+    return Graph._unsafe(n, tuple(rows))
+
+
+def to_sparse6(self: Graph) -> str:
+    n = self.n
+    k = max(1, (n - 1).bit_length())
+    records = []
+    cur = 0
+    for v, u in sorted((max(e), min(e)) for e in self.edges()):
+        if v == cur:
+            records.append(f"0{u:0{k}b}")
+        else:
+            records.append(f"1{u:0{k}b}" if v == cur + 1 else f"1{v:0{k}b}0{u:0{k}b}")
+            cur = v
+    bits = "".join(records)
+    # pad with 1s; guard against the padding spelling a phantom edge at n-1
+    pad = -len(bits) % 6
+    if k < 6 and n == (1 << k) and pad >= k and cur < n - 1:
+        bits += "0"
+        pad = -len(bits) % 6
+    return ":" + _encode_order(n) + _chars(bits + "1" * pad)
+
+
+def to_edge_list_text(self: Graph) -> str:
+    lines = [str(self.n)]
+    lines.extend(f"{u} {v}" for u, v in self.edges())
+    return "\n".join(lines) + "\n"
+
+
+def realize(tree) -> Graph:
+    """Build the graph a cotree describes; leaf ids must be a 0..n-1 bijection."""
+    ids = list(leaves(tree))
+    n = len(ids)
+    if sorted(ids) != list(range(n)):
+        raise ValueError("leaf ids are not a bijection with 0..n-1")
+    rows = [0] * n
+
+    def node(n, masks: list[int]) -> int:
+        total = 0
+        for m in masks:
+            total |= m
+        if isinstance(n, Join):
+            for m in masks:
+                other = total & ~m
+                for v in iter_bits(m):
+                    rows[v] |= other
+        return total
+
+    _fold(tree, lambda leaf: 1 << leaf.vertex, node)
+    return Graph._unsafe(n, tuple(rows))

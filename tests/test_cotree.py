@@ -187,6 +187,9 @@ def test_realize_requires_bijective_labels():
         realize(union_of([Leaf(0), Leaf(2)]))
     with pytest.raises(ValueError):
         realize(union_of([Leaf(0), Leaf(0)]))
+    twice = join_of([Leaf(0), Leaf(1)])
+    with pytest.raises(ValueError):
+        realize(Union((twice, twice)))
 
 
 def test_recognize_round_trip_on_random_cotrees():

@@ -36,6 +36,8 @@ from cographpart import (
 from cographpart import obstructions
 from cographpart.cli import main
 
+import slow_reference
+
 
 def caterpillar(depth):
     """Join at even levels, Union at odd ones; leaf ids 0..depth left to right."""
@@ -67,6 +69,15 @@ def test_deep_caterpillar_walks():
     assert list(leaves(copy)) == list(range(n))
     assert canonical_code(copy) == canonical_code(flipped)
     assert canonical_code(parse_expr(to_expr(tree))) == code
+
+
+def test_deep_caterpillar_realize():
+    """Each join level L adds L + 1 edges, from leaf L + 1 to every leaf
+    below it; the slow reference agrees at 1,000 levels."""
+    for depth in (10, 11, 1000, 8000):
+        assert realize(caterpillar(depth)).m == sum(level + 1 for level in range(0, depth, 2))
+    tree = caterpillar(1000)
+    assert realize(tree) == slow_reference.realize(tree)
 
 
 def test_deep_caterpillar_solver():

@@ -1,18 +1,13 @@
 """Tests for the bitset graph type and its encodings."""
 import random
-from itertools import chain, combinations
+from itertools import chain
 
 import networkx as nx
 import pytest
 
 from cographpart import Graph
 
-from conftest import from_nx, to_nx
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edge_list(n, edges)
+from conftest import from_nx, random_graph, to_nx
 
 
 def test_empty_and_single():
