@@ -1,4 +1,5 @@
 """Command line interface tests, driven through main()."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -494,3 +495,67 @@ def test_import_footprint():
     heavy, loaded = json.loads(proc.stdout)
     assert heavy == []
     assert loaded == ["graph", "cotree", "solver", "strength", "obstructions"]
+
+
+def pinned_commands(tmp_path):
+    """About thirty commands over every subcommand, on DSL, graph6 and
+    edge-list inputs drawn from the random generators at fixed seeds."""
+    from cographpart import FAMILY_A2_DSL, extract_certificate, random_balanced_cotree, \
+        random_cotree, realize, to_expr
+
+    a, b = random_cotree(30, 11), random_balanced_cotree(24, 12)
+    c, d = random_cotree(9, 13), random_cotree(60, 14)
+    dsl = {k: to_expr(t) for k, t in zip("abcd", (a, b, c, d))}
+    g6 = {k: realize(t).to_graph6() for k, t in zip("abcd", (a, b, c, d))}
+    c5 = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).to_graph6()
+    edges = tmp_path / "b.txt"
+    edges.write_text(realize(b).to_edge_list_text())
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(extract_certificate(c, (3, 0, 0)).to_json()))
+    return [
+        ["recognize", "--graph6", g6["a"]],
+        ["recognize", "--graph6", g6["d"], "--human"],
+        ["recognize", "--graph6", c5],
+        ["recognize", "--edges", str(edges)],
+        ["realize", "--dsl", dsl["b"]],
+        ["solve", "--dsl", dsl["a"], "--triple", "2,0,0"],
+        ["solve", "--graph6", g6["b"], "--triple", "(2,1,0)"],
+        ["frontier", "--dsl", dsl["a"], "--box", "3,3,3"],
+        ["frontier", "--graph6", g6["b"], "--box", "2,2,4", "--human"],
+        ["arboricity", "--dsl", dsl["a"]],
+        ["arboricity", "--graph6", g6["d"]],
+        ["chromatic", "--dsl", dsl["b"]],
+        ["ifvs-q", "--graph6", g6["a"]],
+        ["strength", "--dsl", dsl["d"]],
+        ["mindel", "--dsl", dsl["a"], "--p", "1", "--q", "1"],
+        ["mindel", "--edges", str(edges), "--p", "0", "--q", "2"],
+        ["certificate", "--dsl", dsl["a"], "--triple", "3,0,1"],
+        ["certificate", "--graph6", g6["b"], "--triple", "1,2,2"],
+        ["certificate", "--dsl", dsl["c"], "--triple", "0,0,0"],
+        ["check", "--graph6", g6["c"], "--triple", "3,0,0", "--certificate", str(cert)],
+        ["check", "--dsl", dsl["c"], "--triple", "2,0,0", "--certificate", str(cert)],
+        ["enumerate", "--n", "5"],
+        ["enumerate", "--n", "6", "--format", "graph6"],
+        ["enumerate", "--n", "12", "--count-only"],
+        ["oracle", "--graph6", g6["c"], "--triple", "3,0,0"],
+        ["oracle", "--dsl", dsl["c"], "--triple", "1,1,0"],
+        ["obstructions", "families", "--p", "2"],
+        ["obstructions", "families", "--p", "3", "--oi", "1", "--format", "graph6"],
+        ["obstructions", "check", "--dsl", FAMILY_A2_DSL[2], "--goal", "2,0,0"],
+        ["obstructions", "check", "--graph6", g6["c"], "--goal", "(1,1,0),(2,0,0)"],
+        ["obstructions", "search", "--n", "9", "--goal", "2,0,0"],
+        ["obstructions", "search", "--n", "8", "--goal", "(1,1,0)", "--human"],
+        ["obstructions", "count", "--p", "3", "--i", "2"],
+        ["realize", "--dsl", "K("],
+        ["solve", "--dsl", dsl["a"], "--triple", "1,2"],
+    ]
+
+
+def test_cli_outputs_pinned(capsys, tmp_path):
+    """The stdout and exit status of every pinned command, under one digest,
+    so that a simplification of the library shows any change in output."""
+    digest = hashlib.sha256()
+    for argv in pinned_commands(tmp_path):
+        code, out = run(capsys, *argv)
+        digest.update(f"{code}\n{out}\n".encode())
+    assert digest.hexdigest() == "f5de512c7d848655125661d375ba2ba2d8e31757ca677830dfae5010823ba3bb"
