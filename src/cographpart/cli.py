@@ -21,7 +21,7 @@ from .cotree import (
     NotACographError, count_cographs, enumerate_cographs,
     parse_expr, realize, recognize, to_expr,
 )
-from .graph import Graph
+from .graph import Graph, _strip_header
 from .obstructions import (
     count_Oi_report, family_Ap, is_minimal_obstruction, iter_family_Oi,
     search_minimal_obstructions,
@@ -64,6 +64,8 @@ def _load_graph(args) -> Graph:
     if getattr(args, "dsl", None) is not None:
         return realize(parse_expr(args.dsl))
     if args.graph6 is not None:
+        if _strip_header(args.graph6, ">>graph6<<").startswith(":"):
+            raise ValueError("--graph6 takes graph6, not sparse6: pass an edge list file as --edges")
         return Graph.from_graph6(args.graph6)
     try:
         with open(args.edges, "r", encoding="ascii") as fh:

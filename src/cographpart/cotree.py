@@ -117,14 +117,13 @@ def join_of(children: Sequence[CotreeNode]) -> CotreeNode:
     return Join(tuple(flat))
 
 
-def _fold(tree: CotreeNode, leaf, node, memo: dict | None = None):
+def _fold(tree: CotreeNode, leaf, node):
     """Post-order fold over a cotree without recursion, so any depth works.
 
     leaf(l) gives the value of a Leaf and is called on the leaves left to
     right; node(n, values) gives the value of an internal node from the list
-    of its children's values, in child order. With a memo, keyed by node
-    identity, an internal node found in it is not walked again, and every
-    node folded is stored in it.
+    of its children's values, in child order. A node placed twice is folded
+    twice.
     """
     # the node being folded, the iterator over its children and their values
     # so far; its ancestors wait on the stack in the same form. The walk starts
@@ -135,8 +134,6 @@ def _fold(tree: CotreeNode, leaf, node, memo: dict | None = None):
         for c in it:
             if isinstance(c, Leaf):
                 acc.append(leaf(c))
-            elif memo is not None and c in memo:
-                acc.append(memo[c])
             else:
                 stack.append((n, it, acc))
                 n, it, acc = c, iter(c.children), []
@@ -145,8 +142,6 @@ def _fold(tree: CotreeNode, leaf, node, memo: dict | None = None):
             if not stack:
                 return acc[0]
             value = node(n, acc)
-            if memo is not None:
-                memo[n] = value
             n, it, acc = stack.pop()
             acc.append(value)
 
@@ -214,13 +209,14 @@ def max_join_children(tree: CotreeNode) -> int:
         len(n.children) if isinstance(n, Join) else 0, *best))
 
 
-def _code_node(n: CotreeNode, codes: list[bytes]) -> bytes:
-    return (b"U(" if isinstance(n, Union) else b"J(") + b"".join(sorted(codes)) + b")"
+def _class_code(union: bool, codes: list[bytes]) -> bytes:
+    """The canonical code of a Union (or a Join) over children with these codes."""
+    return (b"U(" if union else b"J(") + b"".join(sorted(codes)) + b")"
 
 
 def canonical_code(tree: CotreeNode) -> bytes:
     """Canonical label-independent code; equal iff realized graphs are isomorphic."""
-    return _fold(tree, lambda _: b"L", _code_node)
+    return _fold(tree, lambda _: b"L", lambda n, codes: _class_code(isinstance(n, Union), codes))
 
 
 # -- expression DSL ----------------------------------------------------
@@ -317,7 +313,7 @@ def parse_expr(text: str) -> CotreeNode:
 def to_expr(tree: CotreeNode) -> str:
     """Serialize to the expression DSL; parse_expr round-trips the canonical code."""
     def node(n: CotreeNode, kids: list[tuple[bytes, str]]) -> tuple[bytes, str]:
-        code = _code_node(n, [c for c, _ in kids])
+        code = _class_code(isinstance(n, Union), [c for c, _ in kids])
         if all(isinstance(c, Leaf) for c in n.children):
             return code, f"{'K' if isinstance(n, Join) else 'I'}({len(kids)})"
         if isinstance(n, Join):
@@ -360,7 +356,6 @@ def realize(tree: CotreeNode) -> Graph:
         sizes[node] = total = sum(counts)
         return total
 
-    # no memo: a node placed twice must list its leaves twice
     _fold(tree, leaf, size)
     n = len(ids)
     if ids != list(range(n)):
@@ -494,9 +489,8 @@ def enumerate_cographs(n: int) -> Iterator[CotreeNode]:
     # the Join over the children's cographs themselves.
     pool = [(1, b"L", b"L", ())]
     for size in range(2, n + 1):
-        # both codes sort the children's codes
-        joins = sorted([(b"J(" + b"".join(sorted([e[1] for e in kids])) + b")",
-                         b"U(" + b"".join(sorted([e[2] for e in kids])) + b")", kids)
+        joins = sorted([(_class_code(False, [e[1] for e in kids]),
+                         _class_code(True, [e[2] for e in kids]), kids)
                         for kids in _multisets(size, pool)], key=itemgetter(0))
         pool += sorted([(size, ucode, jcode, kids) for jcode, ucode, kids in joins],
                        key=itemgetter(1))
@@ -557,15 +551,18 @@ def _random_tree(n: int, rng: random.Random | int, split) -> CotreeNode:
     if n < 1:
         raise ValueError("random cotree needs n >= 1")
 
+    # _unfold expands the leaves left to right, so they take their ids in order
+    ids = count()
+
     def expand(seed: tuple[int, bool | None]):
         k, parent_is_union = seed
         if k == 1:
-            return Leaf(0), ()
+            return Leaf(next(ids)), ()
         sizes = split(k, rng)
         make_union = rng.random() < 0.5 if parent_is_union is None else not parent_is_union
         return (Union if make_union else Join), [(s, make_union) for s in sizes]
 
-    return relabel(_unfold((n, None), expand))
+    return _unfold((n, None), expand)
 
 
 def _random_split(k: int, rng: random.Random) -> list[int]:

@@ -21,12 +21,12 @@ from operator import gt, itemgetter, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .cotree import (
-    CotreeNode, Join, Leaf, Union, _as_graph, _coerce_tree, _fold, canonical_code,
+    CotreeNode, Join, Leaf, Union, _as_graph, _class_code, _coerce_tree, _fold, canonical_code,
     complement_tree, join_of, parse_expr, realize, relabel, to_expr, union_of,
 )
 from .graph import Graph, iter_bits
 from .solver import (
-    _ABSENT, Triple, _certificate, _combine, _leaf_frontier,
+    _ABSENT, Triple, _certificate, _combine, _leaf_frontier, _region,
     as_triple, chromatic_number, extract_certificate,
 )
 
@@ -228,7 +228,7 @@ def build_H(g1, g2, p: int) -> CotreeNode:
         if tree is None:
             raise ValueError(f"{which} input is empty")
         tree = relabel(tree)  # masks index leaf ids; the output is relabelled anyway
-        if not _minimal(signature(tree, None), goal_t):
+        if not _minimal(signature(tree), goal_t):
             raise ValueError(
                 f"{which} input is not a minimal obstruction for ({p}, 0, 0)")
         chi = chromatic_number(tree)
@@ -315,12 +315,6 @@ def _first_goal(front, goal_t: tuple[Triple, ...]) -> Triple | None:
     return None
 
 
-def _region(goal_t: tuple[Triple, ...]) -> tuple[int, int, int]:
-    """The frontier region of the least box that holds every goal triple."""
-    box = Triple(*map(max, zip(*goal_t)))
-    return box.p, box.p + box.q, box.p + box.r
-
-
 def _extend(kind: str, left, right, region: tuple[int, int, int]):
     """The signature of the Union (kind "U") or Join ("J") of two disjoint
     graphs, from theirs: the combined frontier, and each deletion on one side
@@ -336,15 +330,13 @@ def _extend(kind: str, left, right, region: tuple[int, int, int]):
 
 
 def _signatures(goal_t: tuple[Triple, ...]):
-    """The one minimality decider: signature(tree, memo) gives tree's
-    frontier in the goal's region and its one-leaf deletions as (frontier,
-    mask) pairs, mask holding the ids of the leaves whose deletion gives
-    that frontier. A node extends its first child's signature by each other
-    child in turn (combines are associative). A memo, which may be None,
-    keeps every node's signature, stored by _fold under the node's
-    identity, so the trees that share a subtree fold it once.
+    """The one minimality decider: signature(tree) gives tree's frontier in
+    the goal's region and its one-leaf deletions as (frontier, mask) pairs,
+    mask holding the ids of the leaves whose deletion gives that frontier.
+    A node extends its first child's signature by each other child in turn
+    (combines are associative).
     """
-    region = _region(goal_t)
+    region = _region(*goal_t)
     leaf = _leaf_frontier(region)
 
     def leaf_signature(node: Leaf):
@@ -355,7 +347,7 @@ def _signatures(goal_t: tuple[Triple, ...]):
         kind = "U" if isinstance(node, Union) else "J"
         return reduce(lambda sig, child: _extend(kind, sig, child, region), signatures)
 
-    return lambda tree, memo: _fold(tree, leaf_signature, node_signature, memo)
+    return lambda tree: _fold(tree, leaf_signature, node_signature)
 
 
 def _minimal(root_signature, goal_t: tuple[Triple, ...]) -> bool:
@@ -386,7 +378,7 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
             counterexample=FeasibleWitness(goal_t[0], ()))
     graph = realize(tree)
     report = partial(ObstructionReport, dsl=to_expr(tree), graph6=graph.to_graph6(), goal=goal_t)
-    front, deletions = _signatures(goal_t)(tree, None)
+    front, deletions = _signatures(goal_t)(tree)
     t = _first_goal(front, goal_t)
     if t is not None:
         cert = extract_certificate(tree, t)
@@ -514,10 +506,11 @@ def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[Obstruc
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     goal_t = _normalize_goal(goal)
-    region = _region(goal_t)
+    region = _region(*goal_t)
     # an entry: (vertex count, code, complement's code, cotree, signature). A
     # Union entry has two or more children, each the leaf or a Join entry; a
-    # Join entry the same with Union entries. Signatures have zero masks.
+    # Join entry the same with Union entries. A node's code and its complement's
+    # are its children's, swapped between Union and Join. Signatures have zero masks.
     leaf = (1, b"L", b"L", Leaf(0), (_leaf_frontier(region), ((_ABSENT, 0),)))
     pools = {"U": [leaf], "J": [leaf]}  # the children each kind takes
     # partial products: [kind, vertex count, children, signature, next pool index]
@@ -537,9 +530,10 @@ def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[Obstruc
                 # enumerate_cographs' layout: a Union's children by (size,
                 # complement's code), a Join's by (size, code)
                 group = sorted((*kids, child), key=itemgetter(0, 2 if kind == "U" else 1))
-                node = (Union if kind == "U" else Join)(tuple(e[3] for e in group))
-                entry = (size + child[0], canonical_code(node), canonical_code(complement_tree(node)),
-                         node, (front, pairs))
+                union = kind == "U"
+                entry = (size + child[0], _class_code(union, [e[1] for e in group]),
+                         _class_code(not union, [e[2] for e in group]),
+                         (Union if union else Join)(tuple(e[3] for e in group)), (front, pairs))
                 pools[other].append(entry)
                 products += [[kind, entry[0], group, entry[4], i],
                              [other, entry[0], (entry,), entry[4], len(pools[other]) - 1]]

@@ -182,6 +182,12 @@ def _combine(kind: str, fl: _FrontierT, fr: _FrontierT, region: tuple[int, int, 
     return result
 
 
+def _region(*boxes: Triple) -> tuple[int, int, int]:
+    """The working region (P, P + Q, P + R) of the least box (P, Q, R) holding all boxes."""
+    P, Q, R = map(max, zip(*boxes))
+    return P, P + Q, P + R
+
+
 def _leaf_frontier(region: tuple[int, int, int]) -> _FrontierT:
     P, PQ, PR = region
     cands = []
@@ -276,7 +282,7 @@ def _feasible_set(tree: CotreeNode | None, box: Triple, without: int | None = No
     """feasible_set of tree, or of its graph without vertex without."""
     if tree is None:
         return TripleSet(box, (Triple(0, 0, 0),))
-    region = (box.p, box.p + box.q, box.p + box.r)
+    region = _region(box)
     work = _fold(tree, _leaves_but(without, _leaf_frontier(region), _ABSENT),
                  lambda node, fronts: _prefix_frontiers(node, fronts, region)[-1])
     frontier = tuple(
@@ -450,7 +456,7 @@ def _certificate(tree: CotreeNode | None, t: Triple, without: int | None = None)
     the labels then skip that vertex."""
     if tree is None:
         return PartitionCertificate(t, ())
-    region = (t.p, t.p + t.q, t.p + t.r)
+    region = _region(t)
     # bottom-up: per node, its prefix frontiers and its children's entries
     leaf = ((_leaf_frontier(region),), ())
     info = _fold(tree, _leaves_but(without, leaf, ((_ABSENT,), ())), lambda node, kids: (

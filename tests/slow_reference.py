@@ -1,8 +1,11 @@
-"""Slow reference codecs, realize and row check: the straightforward per-edge
-versions that the library's bulk routines replaced, kept verbatim (methods
-become functions of the Graph) so tests can require byte-identical results.
+"""Slow reference codecs, realize, row check and random trees: the
+straightforward versions that the library's routines replaced, kept
+verbatim (methods become functions of the Graph) so tests can require
+byte-identical results.
 """
-from cographpart.cotree import Join, _fold, leaves
+import random
+
+from cographpart.cotree import Join, Leaf, Union, _fold, _unfold, leaves, relabel
 from cographpart.graph import Graph, _decode_order, _encode_order, _strip_header, iter_bits
 
 # the six bits of each graph6 character 63..126
@@ -100,3 +103,22 @@ def realize(tree) -> Graph:
 
     _fold(tree, lambda leaf: 1 << leaf.vertex, node)
     return Graph._unsafe(n, tuple(rows))
+
+
+def random_tree(n: int, rng: random.Random | int, split):
+    """Random normalized cotree on n leaves, labelled 0..n-1; split(k, rng)
+    draws the child sizes of a node with k leaves."""
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    if n < 1:
+        raise ValueError("random cotree needs n >= 1")
+
+    def expand(seed: tuple[int, bool | None]):
+        k, parent_is_union = seed
+        if k == 1:
+            return Leaf(0), ()
+        sizes = split(k, rng)
+        make_union = rng.random() < 0.5 if parent_is_union is None else not parent_is_union
+        return (Union if make_union else Join), [(s, make_union) for s in sizes]
+
+    return relabel(_unfold((n, None), expand))

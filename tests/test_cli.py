@@ -47,6 +47,15 @@ def test_non_cograph_elsewhere_is_input_error(capsys):
     assert len(data["p4"]) == 4
 
 
+def test_graph6_option_rejects_sparse6_in_cli_terms(capsys):
+    """A sparse6 string given to --graph6 is an input error that names the
+    CLI's options, with or without the graph6 header."""
+    want = {"error": "--graph6 takes graph6, not sparse6: pass an edge list file as --edges"}
+    for text in (":?", Graph.complete(4).to_sparse6(), " >>graph6<<:?"):
+        assert run_json(capsys, "recognize", "--graph6", text) == (2, want)
+        assert run_json(capsys, "arboricity", "--graph6", text) == (2, want)
+
+
 def test_realize(capsys):
     code, data = run_json(capsys, "realize", "--dsl", C4_DSL)
     assert code == 0

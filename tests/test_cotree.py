@@ -336,33 +336,6 @@ def test_enumeration_shares_placed_subtrees():
     assert len(internal) < 1000
 
 
-def test_fold_memo_folds_each_node_once():
-    """With one memo over all cographs on 9 vertices, the node callback runs
-    once per distinct internal node (856 non-root ones, plus the roots), the
-    memo holds exactly those nodes, and every result equals the fold's
-    without a memo."""
-    trees = list(enumerate_cographs(9))
-    internal = set(trees)  # nodes hash by identity
-    stack = [c for t in trees for c in t.children]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, Leaf) and node not in internal:
-            internal.add(node)
-            stack.extend(node.children)
-    calls = []
-
-    def code(node, kids):
-        calls.append(node)
-        return cotree._code_node(node, kids)
-
-    memo = {}
-    codes = [cotree._fold(t, lambda _: b"L", code, memo) for t in trees]
-    assert len(calls) == len(set(calls)) == len(internal) == 856 + len(trees)
-    assert set(memo) == internal
-    assert codes == [canonical_code(t) for t in trees]
-    assert [cotree._fold(t, lambda _: b"L", cotree._code_node) for t in trees] == codes
-
-
 DELETION_BOXES = [Triple(2, 0, 0), Triple(1, 1, 0), Triple(0, 2, 1), Triple(1, 1, 1)]
 
 

@@ -137,4 +137,4 @@ def test_caterpillar_minimality():
     with pytest.raises(ValueError, match="not a minimal obstruction"):
         build_H(deep, parse_expr("C(U(3*K(3)))"), 2)
     goal_t = (Triple(2, 0, 0),)
-    assert obstructions._minimal(obstructions._signatures(goal_t)(deep, {}), goal_t) is False
+    assert obstructions._minimal(obstructions._signatures(goal_t)(deep), goal_t) is False

@@ -697,17 +697,11 @@ def _is_minimal(tree: CotreeNode, goal_t: tuple[Triple, ...]) -> bool:
 
 def fast_path_disagreements(n_max, goal):
     """Cographs on <= n_max vertices where the signature decider and the
-    per-tree deletion folds of _is_minimal disagree, with one memo per
-    vertex count in enumeration order, as the search runs it."""
+    per-tree deletion folds of _is_minimal disagree."""
     goal_t = obstructions._normalize_goal(goal)
     signature = obstructions._signatures(goal_t)
-    bad = []
-    for n in range(1, n_max + 1):
-        memo = {}
-        bad += [to_expr(tree) for tree in enumerate_cographs(n)
-                if obstructions._minimal(signature(tree, memo), goal_t)
-                != _is_minimal(tree, goal_t)]
-    return bad
+    return [to_expr(tree) for n in range(1, n_max + 1) for tree in enumerate_cographs(n)
+            if obstructions._minimal(signature(tree), goal_t) != _is_minimal(tree, goal_t)]
 
 
 def deletion_disagreements(n_max, goal):
@@ -721,10 +715,9 @@ def deletion_disagreements(n_max, goal):
     rng = random.Random(5)
     bad = []
     for n in range(1, n_max + 1):
-        memo = {}
         for tree in (t for e in enumerate_cographs(n) for t in (e, scrambled(e, rng))):
             found, failing, covered = {}, 0, 0
-            for front, mask in signature(tree, memo)[1]:
+            for front, mask in signature(tree)[1]:
                 t = obstructions._first_goal(front, goal_t)
                 failing |= mask if t is None else 0
                 covered += mask.bit_count()
@@ -743,8 +736,7 @@ def goal_id(goal):
 
 @pytest.mark.parametrize("goal", FAST_PATH_GOALS, ids=goal_id)
 def test_minimality_test_matches_slow_reference(goal):
-    """The signature decider, which keeps signatures per shared subtree,
-    against the per-tree deletion folds: its verdict on every cograph with
+    """The signature decider against the per-tree deletion folds: its verdict on every cograph with
     <= 8 vertices, and its deletion triples and least failing vertex on
     every cograph with <= 7 vertices and a scrambled copy of each."""
     assert fast_path_disagreements(8, goal) == []
@@ -790,16 +782,12 @@ def test_search_enumerates_no_cograph(monkeypatch):
 
 def enumeration_search(n_max, goal):
     """The search before the closure: every cograph on <= n_max vertices
-    from the enumerator, one memo per vertex count, and a report for each
-    that the signature decider calls minimal, in enumeration order."""
+    from the enumerator, and a report for each that the signature decider
+    calls minimal, in enumeration order."""
     goal_t = obstructions._normalize_goal(goal)
     signature = obstructions._signatures(goal_t)
-    found = []
-    for n in range(1, n_max + 1):
-        memo: dict = {}
-        found += [is_minimal_obstruction(tree, goal_t) for tree in enumerate_cographs(n)
-                  if obstructions._minimal(signature(tree, memo), goal_t)]
-    return found
+    return [is_minimal_obstruction(tree, goal_t) for n in range(1, n_max + 1)
+            for tree in enumerate_cographs(n) if obstructions._minimal(signature(tree), goal_t)]
 
 
 @pytest.mark.parametrize("goal", FAST_PATH_GOALS, ids=goal_id)

@@ -1,5 +1,5 @@
-"""The bulk codecs, realize and row check against their slow per-edge
-references: identical bytes, rows and errors."""
+"""The bulk codecs, realize, row check and random trees against their slow
+references: identical bytes, rows, trees and errors."""
 import random
 
 import pytest
@@ -10,11 +10,15 @@ from cographpart import (
     Union,
     complement_tree,
     enumerate_cographs,
+    leaves,
+    random_balanced_cotree,
     random_cotree,
     realize,
     relabel,
+    to_expr,
     union_of,
 )
+from cographpart.cotree import _balanced_split, _random_split
 from cographpart.graph import _chars
 
 from conftest import random_graph, scrambled
@@ -101,3 +105,35 @@ def test_row_check_matches_reference():
             with pytest.raises(ValueError) as err:
                 Graph(n, rows)
             assert str(err.value) == want
+
+
+GENERATORS = [(random_cotree, _random_split), (random_balanced_cotree, _balanced_split)]
+
+
+def assert_trees_match(generate, split, sizes, seed):
+    """The trees that one stream seeded with seed gives for sizes, in turn,
+    equal the reference's by DSL text and leaf order."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for n in sizes:
+        tree, want = generate(n, rng), ref.random_tree(n, ref_rng, split)
+        assert to_expr(tree) == to_expr(want)
+        assert list(leaves(tree)) == list(leaves(want))
+
+
+@pytest.mark.parametrize("generate, split", GENERATORS, ids=["random", "balanced"])
+def test_random_trees_match_reference(generate, split):
+    """Both generators build the reference's trees, from a shared stream and
+    from int seeds: on 1..12 leaves, on the benchmark's random and balanced
+    cotree-dp sizes and its fixed arboricity seeds, and on graph-pipeline's
+    dense sizes."""
+    for seed in range(6):
+        assert_trees_match(generate, split, range(1, 13), seed)
+        assert_trees_match(generate, split, range(12, 0, -1), f"small/{seed}")
+    for seed in ("cotree-dp/0/0", "cotree-dp/7/1"):
+        assert_trees_match(generate, split, (1000, 1000, 1250, 1250, 1500, 1500, 2000, 2500, 3000,
+                                             5000, 8000), seed)
+    for seed in ("graph-pipeline/0/0", "graph-pipeline/5/2"):
+        assert_trees_match(generate, split, range(300, 975, 75), seed)
+    for n, seed in ((1000, 1002), (1000, 1003), (500, 1005), (500, 1007), (12, 5), (64, 3)):
+        tree, want = generate(n, seed), ref.random_tree(n, seed, split)
+        assert (to_expr(tree), list(leaves(tree))) == (to_expr(want), list(leaves(want)))
