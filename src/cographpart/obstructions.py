@@ -509,8 +509,8 @@ def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[Obstruc
     region = _region(*goal_t)
     # an entry: (vertex count, code, complement's code, cotree, signature). A
     # Union entry has two or more children, each the leaf or a Join entry; a
-    # Join entry the same with Union entries. A node's code and its complement's
-    # are its children's, swapped between Union and Join. Signatures have zero masks.
+    # Join entry the same with Union entries. Both codes come from the children's
+    # codes, the complement's with Union and Join swapped. Signatures have zero masks.
     leaf = (1, b"L", b"L", Leaf(0), (_leaf_frontier(region), ((_ABSENT, 0),)))
     pools = {"U": [leaf], "J": [leaf]}  # the children each kind takes
     # partial products: [kind, vertex count, children, signature, next pool index]
@@ -529,8 +529,8 @@ def search_minimal_obstructions(n_max: int, goal, jobs: int = 1) -> list[Obstruc
                     continue  # not frontier-minimal
                 # enumerate_cographs' layout: a Union's children by (size,
                 # complement's code), a Join's by (size, code)
-                group = sorted((*kids, child), key=itemgetter(0, 2 if kind == "U" else 1))
                 union = kind == "U"
+                group = sorted((*kids, child), key=itemgetter(0, 2 if union else 1))
                 entry = (size + child[0], _class_code(union, [e[1] for e in group]),
                          _class_code(not union, [e[2] for e in group]),
                          (Union if union else Join)(tuple(e[3] for e in group)), (front, pairs))

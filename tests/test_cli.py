@@ -7,7 +7,10 @@ import time
 
 import pytest
 
-from cographpart import Graph, OracleBudget, Triple, cli
+from cographpart import (
+    FAMILY_A2_DSL, Graph, OracleBudget, Triple, cli, extract_certificate,
+    random_balanced_cotree, random_cotree, realize, to_expr,
+)
 from cographpart.cli import _parse_goal, main
 
 C4_DSL = "C(U(2*K(2)))"
@@ -507,11 +510,8 @@ def test_import_footprint():
 
 
 def pinned_commands(tmp_path):
-    """About thirty commands over every subcommand, on DSL, graph6 and
+    """Thirty-five commands over every subcommand, on DSL, graph6 and
     edge-list inputs drawn from the random generators at fixed seeds."""
-    from cographpart import FAMILY_A2_DSL, extract_certificate, random_balanced_cotree, \
-        random_cotree, realize, to_expr
-
     a, b = random_cotree(30, 11), random_balanced_cotree(24, 12)
     c, d = random_cotree(9, 13), random_cotree(60, 14)
     dsl = {k: to_expr(t) for k, t in zip("abcd", (a, b, c, d))}

@@ -736,9 +736,10 @@ def goal_id(goal):
 
 @pytest.mark.parametrize("goal", FAST_PATH_GOALS, ids=goal_id)
 def test_minimality_test_matches_slow_reference(goal):
-    """The signature decider against the per-tree deletion folds: its verdict on every cograph with
-    <= 8 vertices, and its deletion triples and least failing vertex on
-    every cograph with <= 7 vertices and a scrambled copy of each."""
+    """The signature decider against the per-tree deletion folds: its
+    verdict on every cograph with <= 8 vertices, and its deletion triples
+    and least failing vertex on every cograph with <= 7 vertices and a
+    scrambled copy of each."""
     assert fast_path_disagreements(8, goal) == []
     assert deletion_disagreements(7, goal) == []
 
