@@ -27,7 +27,7 @@ from .cotree import (
 from .graph import Graph, iter_bits
 from .solver import (
     _ABSENT, Triple, _certificate, _combine, _leaf_frontier, _region,
-    as_triple, chromatic_number, extract_certificate,
+    as_triple, chromatic_number,
 )
 
 if TYPE_CHECKING:
@@ -381,7 +381,7 @@ def is_minimal_obstruction(graph_or_tree, goal) -> ObstructionReport:
     front, deletions = _signatures(goal_t)(tree)
     t = _first_goal(front, goal_t)
     if t is not None:
-        cert = extract_certificate(tree, t)
+        cert = _certificate(tree, t)
         return report(is_obstruction=False, is_minimal=False,
                       counterexample=FeasibleWitness(t, cert.labels))
     found = [None] * graph.n

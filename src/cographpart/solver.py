@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import re
 from functools import partial
-from itertools import chain
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .cotree import (
@@ -200,13 +200,6 @@ def _leaf_frontier(region: tuple[int, int, int]) -> _FrontierT:
     return tuple(cands)
 
 
-def _leaves_but(without: int | None, value, absent):
-    """Fold leaf callback: absent at vertex without, value at every other leaf."""
-    if without is None:  # so that a fold deleting nothing tests no leaf
-        return lambda _: value
-    return lambda leaf: absent if leaf.vertex == without else value
-
-
 def _prefix_frontiers(node: CotreeNode, fronts: list[_FrontierT], region: tuple) -> list[_FrontierT]:
     """Frontiers of the left-fold prefixes of node's children, combining the
     children two at a time; the last is the frontier of node itself."""
@@ -264,37 +257,38 @@ class TripleSet:
 
     @classmethod
     def from_json(cls, data: dict) -> TripleSet:
-        """Raises ValueError on a frontier member outside the box."""
+        """Raises ValueError on a frontier member outside the box, or one
+        that dominates another (a frontier is an antichain)."""
         box = as_triple(data["box"], "box")
         frontier = tuple(as_triple(t, "frontier member") for t in data["frontier"])
         if not all(box.dominates(m) for m in frontier):
             raise ValueError(f"a frontier member lies outside the box {tuple(box)}")
+        if any(a.dominates(b) or b.dominates(a) for a, b in combinations(frontier, 2)):
+            raise ValueError("a frontier member dominates another")
         return cls(box, frontier)
 
 
 def feasible_set(graph_or_tree, box) -> TripleSet:
     """TripleSet of all feasible triples of the input within box."""
     box = as_triple(box, "box")
-    return _feasible_set(_coerce_tree(graph_or_tree), box)
+    return TripleSet(box, tuple(Triple(*m) for m in _frontier_in(_coerce_tree(graph_or_tree), box)))
 
 
-def _feasible_set(tree: CotreeNode | None, box: Triple, without: int | None = None) -> TripleSet:
-    """feasible_set of tree, or of its graph without vertex without."""
+def _frontier_in(tree: CotreeNode | None, box: Triple) -> _FrontierT:
+    """The members of tree's frontier inside box, empty exactly when box is
+    infeasible; _ABSENT for the empty graph."""
     if tree is None:
-        return TripleSet(box, (Triple(0, 0, 0),))
+        return _ABSENT
     region = _region(box)
-    work = _fold(tree, _leaves_but(without, _leaf_frontier(region), _ABSENT),
-                 lambda node, fronts: _prefix_frontiers(node, fronts, region)[-1])
-    frontier = tuple(
-        Triple(a, b, c) for a, b, c in work
-        if a <= box.p and b <= box.q and c <= box.r
-    )
-    return TripleSet(box, frontier)
+    leaf = _leaf_frontier(region)
+    work = _fold(tree, lambda _: leaf, lambda node, fronts: _prefix_frontiers(node, fronts, region)[-1])
+    P, Q, R = box
+    return tuple(m for m in work if m[0] <= P and m[1] <= Q and m[2] <= R)
 
 
 def is_partitionable(graph_or_tree, triple) -> bool:
     t = as_triple(triple)
-    return feasible_set(graph_or_tree, t).contains(t)
+    return bool(_frontier_in(_coerce_tree(graph_or_tree), t))
 
 
 # -- certificates ------------------------------------------------------
@@ -458,8 +452,8 @@ def _certificate(tree: CotreeNode | None, t: Triple, without: int | None = None)
         return PartitionCertificate(t, ())
     region = _region(t)
     # bottom-up: per node, its prefix frontiers and its children's entries
-    leaf = ((_leaf_frontier(region),), ())
-    info = _fold(tree, _leaves_but(without, leaf, ((_ABSENT,), ())), lambda node, kids: (
+    leaf, absent = ((_leaf_frontier(region),), ()), ((_ABSENT,), ())
+    info = _fold(tree, lambda node: absent if node.vertex == without else leaf, lambda node, kids: (
         _prefix_frontiers(node, [k[0][-1] for k in kids], region), kids))
     if not any(t.dominates(Triple(*m)) for m in info[0][-1]):
         raise ValueError(f"no ({t.p}, {t.q}, {t.r})-partition exists")
@@ -547,9 +541,9 @@ def vertex_arboricity(graph_or_tree) -> int:
     step = 1
     while True:
         k = min(first + step - 1, omega)
-        frontier = feasible_set(tree, (k, 0, 0)).frontier
+        frontier = _frontier_in(tree, Triple(k, 0, 0))
         if frontier:
-            return min(m.p for m in frontier)
+            return min(a for a, _, _ in frontier)
         if k >= omega:
             # (omega, 0, 0) is feasible, so only a solver bug gets here
             raise AssertionError("last box of the search came back empty")
@@ -572,12 +566,14 @@ def chromatic_number(graph_or_tree) -> int:
 def min_deletions(graph_or_tree, p: int, q: int) -> int:
     """Least r such that (p, q, r) is feasible: deleting every vertex is
     always a partition, so the fold at the box (p, q, n) holds it."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, q)):
+        raise ValueError("class budgets must be integers")
     if p < 0 or q < 0:
         raise ValueError("class budgets must be nonnegative")
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return 0
-    return min(m.r for m in feasible_set(tree, (p, q, leaf_count(tree))).frontier)
+    return min(c for _, _, c in _frontier_in(tree, Triple(p, q, leaf_count(tree))))
 
 
 def min_q_feedback(graph_or_tree) -> int:

@@ -1,12 +1,15 @@
-"""Slow reference codecs, realize, row check and random trees: the
-straightforward versions that the library's routines replaced, kept
-verbatim (methods become functions of the Graph) so tests can require
+"""Slow reference codecs, realize, row check, random trees and a deleting
+fold: the straightforward versions that the library's routines replaced,
+kept verbatim (methods become functions of the Graph) so tests can require
 byte-identical results.
 """
 import random
 
 from cographpart.cotree import Join, Leaf, Union, _fold, _unfold, leaves, relabel
 from cographpart.graph import Graph, _decode_order, _encode_order, _strip_header, iter_bits
+from cographpart.solver import (
+    _ABSENT, Triple, TripleSet, _leaf_frontier, _prefix_frontiers, _region,
+)
 
 # the six bits of each graph6 character 63..126
 _CHAR = {f"{c:06b}": chr(c + 63) for c in range(64)}
@@ -122,3 +125,24 @@ def random_tree(n: int, rng: random.Random | int, split):
         return (Union if make_union else Join), [(s, make_union) for s in sizes]
 
     return relabel(_unfold((n, None), expand))
+
+
+def _leaves_but(without: int | None, value, absent):
+    """Fold leaf callback: absent at vertex without, value at every other leaf."""
+    if without is None:  # so that a fold deleting nothing tests no leaf
+        return lambda _: value
+    return lambda leaf: absent if leaf.vertex == without else value
+
+
+def feasible_set(tree, box: Triple, without: int | None = None) -> TripleSet:
+    """feasible_set of tree, or of its graph without vertex without."""
+    if tree is None:
+        return TripleSet(box, (Triple(0, 0, 0),))
+    region = _region(box)
+    work = _fold(tree, _leaves_but(without, _leaf_frontier(region), _ABSENT),
+                 lambda node, fronts: _prefix_frontiers(node, fronts, region)[-1])
+    frontier = tuple(
+        Triple(a, b, c) for a, b, c in work
+        if a <= box.p and b <= box.q and c <= box.r
+    )
+    return TripleSet(box, frontier)

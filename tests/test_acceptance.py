@@ -45,6 +45,7 @@ from cographpart import (
     to_expr,
     vertex_arboricity,
 )
+from cographpart import solver
 from cographpart.solver import _combine_cache
 
 
@@ -265,6 +266,34 @@ def test_linear_scaling():
     print(f"PASS 10: 100k-leaf solve in {t_large:.2f}s, scaling ratio "
           f"{ratio:.2f} (25k: {t_small:.2f}s); union-of-cycles variant "
           f"{u_large:.2f}s vs {u_small:.2f}s")
+
+
+def test_linear_work(monkeypatch):
+    """The count beside test_linear_scaling's timing, deaf to host load: a
+    cold (5, 5, 5) fold of the same seeded 25k- and 100k-leaf balanced trees
+    combines two frontiers leaves - 1 times, and its memo misses (one
+    antichain build each) per leaf do not rise with the tree."""
+    rng = random.Random(9)
+    small = random_balanced_cotree(25_000, rng)
+    large = random_balanced_cotree(100_000, rng)
+    counts = {"combine": 0, "miss": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_combine", counted("combine", solver._combine))
+    monkeypatch.setattr(solver, "_frontier", counted("miss", solver._frontier))
+    misses = []
+    for tree, n in ((small, 25_000), (large, 100_000)):
+        _combine_cache.clear()
+        counts.update(combine=0, miss=0)
+        feasible_set(tree, (5, 5, 5))
+        assert counts["combine"] == n - 1
+        misses.append(counts["miss"])
+    assert misses[1] / 100_000 <= misses[0] / 25_000, misses
 
 
 def test_random_invariant_sweep():

@@ -41,10 +41,11 @@ from cographpart import (
     union_of,
 )
 
-from cographpart import cotree
-from cographpart.solver import _certificate, _feasible_set
+from cographpart import cotree, obstructions
+from cographpart.graph import iter_bits
+from cographpart.solver import _certificate
 
-from conftest import from_nx, has_p4_brute, scrambled
+from conftest import has_p4_brute, scrambled
 
 # Unlabelled cographs on 1..13 vertices.
 COGRAPH_COUNTS = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624, 14136, 43930, 137908]
@@ -355,21 +356,27 @@ def collapsing_vertices(tree):
 
 
 def assert_deletions_match_recognize(tree, ordered):
-    """Folding tree with one leaf sent to the absent frontier gives the
-    frontier of the induced subgraph without that vertex, and certifies each
-    feasible box with labels for the other vertices. When tree's children
-    come in left-to-right leaf order and no node collapses, the labels are
-    those certified on the recognized subgraph."""
+    """The one-leaf deletion frontiers of tree's signature, with the deleted
+    leaf sent to the absent frontier, are the frontiers of the induced
+    subgraphs without that vertex, and the certificate folding tree with the
+    leaf absent certifies each feasible box with labels for the other
+    vertices. When tree's children come in left-to-right leaf order and no
+    node collapses, the labels are those certified on the recognized
+    subgraph."""
     graph = realize(tree)
     same_labels = set(range(graph.n)) - collapsing_vertices(tree) if ordered else set()
-    for v in range(graph.n):
-        rest = [u for u in range(graph.n) if u != v]
-        sub = graph.induced_subgraph(rest)
-        subtree = recognize(sub)
-        for box in DELETION_BOXES:
-            got = _feasible_set(tree, box, v)
-            assert got == feasible_set(subtree, box)
-            if got.contains(box):
+    subs = [graph.induced_subgraph([u for u in range(graph.n) if u != v]) for v in range(graph.n)]
+    subtrees = [recognize(sub) for sub in subs]
+    for box in DELETION_BOXES:
+        deleted = {}
+        for front, mask in obstructions._signatures((box,))(tree)[1]:
+            for v in iter_bits(mask):
+                deleted[v] = {m for m in front if box.dominates(Triple(*m))}
+        assert sorted(deleted) == list(range(graph.n))
+        for v, (sub, subtree) in enumerate(zip(subs, subtrees)):
+            want = feasible_set(subtree, box)
+            assert deleted[v] == set(want.frontier)
+            if want.contains(box):
                 cert = _certificate(tree, box, v)
                 assert check_partition(sub, cert, box)
                 if v in same_labels:

@@ -45,8 +45,8 @@ from cographpart import (
 from cographpart import cotree, obstructions
 from cographpart.cotree import CotreeNode, _as_graph, leaves
 from cographpart.graph import iter_bits
-from cographpart.solver import _feasible_set
 
+import slow_reference
 from conftest import scrambled, to_nx
 
 
@@ -684,7 +684,7 @@ def _first_feasible(tree: CotreeNode | None, goal_t: tuple[Triple, ...],
     """The first goal triple that tree's graph admits, less the vertex without
     when given, or None; one fold at the least box that holds every goal
     triple decides them all."""
-    fs = _feasible_set(tree, Triple(*map(max, zip(*goal_t))), without)
+    fs = slow_reference.feasible_set(tree, Triple(*map(max, zip(*goal_t))), without)
     return next((t for t in goal_t if fs.contains(t)), None)
 
 

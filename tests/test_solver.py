@@ -153,6 +153,16 @@ def test_triple_set_json_round_trip():
         TripleSet.from_json({"box": [1, 1, 1], "frontier": [[5, 5, 5]]})
 
 
+def test_triple_set_json_rejects_non_antichain():
+    """A member dominating another, or a repeated one, would load as a set
+    unequal to the same triples written minimally."""
+    for frontier in ([[0, 0, 0], [1, 1, 1]], [[0, 2, 0], [0, 1, 0]], [[1, 0, 0], [1, 0, 0]]):
+        with pytest.raises(ValueError, match="dominates another"):
+            TripleSet.from_json({"box": [2, 2, 2], "frontier": frontier})
+    ts = TripleSet.from_json({"box": [2, 2, 2], "frontier": [[0, 2, 0], [1, 0, 0]]})
+    assert ts == TripleSet.from_json(ts.to_json())
+
+
 def test_upward_and_exchange_closures():
     rng = random.Random(23)
     for _ in range(40):
@@ -466,6 +476,17 @@ def test_min_deletions():
     assert min_deletions(Graph.complete(6), 2, 0) == 2
     assert min_deletions(Graph(0), 0, 0) == 0
     assert min_deletions(parse_expr("K(5)"), 10**9, 3) == 0
+
+
+def test_min_deletions_rejects_non_integer_budgets():
+    """Budgets are checked before the input: a float, bool or str p or q
+    raises ValueError on a tree and on the empty graph alike."""
+    for graph in (C4_TREE, None):
+        for p, q in ((1.5, 0), (0, 1.0), (True, 0), (0, False), ("1", 0), (0, "2")):
+            with pytest.raises(ValueError, match="class budgets must be integers"):
+                min_deletions(graph, p, q)
+        with pytest.raises(ValueError, match="class budgets must be nonnegative"):
+            min_deletions(graph, 0, -1)
 
 
 def test_min_deletions_matches_oracle():
