@@ -356,13 +356,12 @@ def collapsing_vertices(tree):
 
 
 def assert_deletions_match_recognize(tree, ordered):
-    """The one-leaf deletion frontiers of tree's signature, with the deleted
-    leaf sent to the absent frontier, are the frontiers of the induced
-    subgraphs without that vertex, and the certificate folding tree with the
-    leaf absent certifies each feasible box with labels for the other
-    vertices. When tree's children come in left-to-right leaf order and no
-    node collapses, the labels are those certified on the recognized
-    subgraph."""
+    """The one-leaf deletion frontiers of tree's signature, one pass per
+    box, are the frontiers of the induced subgraphs without that vertex,
+    and the certificate folding tree with that leaf absent certifies each
+    feasible box with labels for the other vertices. When tree's children
+    come in left-to-right leaf order and no node collapses, the labels are
+    those certified on the recognized subgraph."""
     graph = realize(tree)
     same_labels = set(range(graph.n)) - collapsing_vertices(tree) if ordered else set()
     subs = [graph.induced_subgraph([u for u in range(graph.n) if u != v]) for v in range(graph.n)]

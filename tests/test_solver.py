@@ -151,16 +151,11 @@ def test_triple_set_json_round_trip():
     assert back == ts
     with pytest.raises(ValueError):
         TripleSet.from_json({"box": [1, 1, 1], "frontier": [[5, 5, 5]]})
-
-
-def test_triple_set_json_rejects_non_antichain():
-    """A member dominating another, or a repeated one, would load as a set
-    unequal to the same triples written minimally."""
+    # a member dominating another, or a repeated one, would load as a set
+    # unequal to the same triples written minimally
     for frontier in ([[0, 0, 0], [1, 1, 1]], [[0, 2, 0], [0, 1, 0]], [[1, 0, 0], [1, 0, 0]]):
         with pytest.raises(ValueError, match="dominates another"):
             TripleSet.from_json({"box": [2, 2, 2], "frontier": frontier})
-    ts = TripleSet.from_json({"box": [2, 2, 2], "frontier": [[0, 2, 0], [1, 0, 0]]})
-    assert ts == TripleSet.from_json(ts.to_json())
 
 
 def test_upward_and_exchange_closures():
