@@ -87,34 +87,28 @@ class NotACographError(ValueError):
         self.witness = witness
 
 
-def union_of(children: Sequence[CotreeNode]) -> CotreeNode:
-    """Union node over children, flattening nested Unions; singletons collapse."""
+def _flattened(cls, children: Sequence[CotreeNode]) -> CotreeNode:
+    """A cls node (Union or Join) over children, flattening nested cls nodes;
+    singletons collapse."""
     flat: list[CotreeNode] = []
     for ch in children:
-        if isinstance(ch, Union):
+        if isinstance(ch, cls):
             flat.extend(ch.children)
         else:
             flat.append(ch)
     if not flat:
-        raise ValueError("union of zero cotrees")
-    if len(flat) == 1:
-        return flat[0]
-    return Union(tuple(flat))
+        raise ValueError(f"{cls.__name__.lower()} of zero cotrees")
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+def union_of(children: Sequence[CotreeNode]) -> CotreeNode:
+    """Union node over children, flattening nested Unions; singletons collapse."""
+    return _flattened(Union, children)
 
 
 def join_of(children: Sequence[CotreeNode]) -> CotreeNode:
     """Join node over children, flattening nested Joins; singletons collapse."""
-    flat: list[CotreeNode] = []
-    for ch in children:
-        if isinstance(ch, Join):
-            flat.extend(ch.children)
-        else:
-            flat.append(ch)
-    if not flat:
-        raise ValueError("join of zero cotrees")
-    if len(flat) == 1:
-        return flat[0]
-    return Join(tuple(flat))
+    return _flattened(Join, children)
 
 
 def _fold(tree: CotreeNode, leaf, node):

@@ -21,12 +21,12 @@ from operator import gt, itemgetter, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .cotree import (
-    CotreeNode, Join, Leaf, Union, _as_graph, _class_code, _coerce_tree, _fold, canonical_code,
-    complement_tree, join_of, parse_expr, realize, relabel, to_expr, union_of,
+    CotreeNode, Join, Leaf, Union, _as_graph, _class_code, _coerce_tree, _fold, _multisets,
+    canonical_code, complement_tree, join_of, parse_expr, realize, relabel, to_expr, union_of,
 )
 from .graph import Graph, iter_bits
 from .solver import (
-    _ABSENT, Triple, _certificate, _combine, _leaf_frontier, _region,
+    _ABSENT, Triple, _admits, _certificate, _combine, _leaf_frontier, _region,
     as_triple, chromatic_number,
 )
 
@@ -93,22 +93,6 @@ def family_Ap(p: int) -> list[CotreeNode]:
 # -- star forests and the join family ----------------------------------
 
 
-def _partitions(m: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of m into non-increasing parts, largest part first."""
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-    yield from rec(m, m)
-
-
-def count_partitions(m: int) -> int:
-    return sum(1 for _ in _partitions(m))
-
-
 def _star_tree(k: int) -> CotreeNode:
     # K_1 joined to k-1 isolated vertices; dummy leaf ids, caller relabels
     if k == 1:
@@ -125,13 +109,10 @@ def star_forests(m: int) -> list[CotreeNode]:
     """
     if m < 2:
         raise ValueError("star forests need at least 2 vertices")
-    out = []
-    for parts in _partitions(m):
-        if parts[0] < 2:
-            continue
-        pieces = [_star_tree(k) for k in parts]
-        out.append(relabel(pieces[0] if len(pieces) == 1 else union_of(pieces)))
-    return out
+    # the enumerator's multisets of part sizes, each in ascending order
+    partitions = sorted((tuple(k for k, in reversed(parts))
+                         for parts in _multisets(m, [(k,) for k in range(1, m + 1)])), reverse=True)
+    return [relabel(union_of([_star_tree(k) for k in parts])) for parts in partitions if parts[0] >= 2]
 
 
 def _check_Oi(p: int, i: int) -> None:
@@ -157,23 +138,24 @@ def family_Oi(p: int, i: int, forests: Sequence[CotreeNode]) -> CotreeNode:
         if canonical_code(f) not in allowed:
             raise ValueError(
                 f"each forest must be a star forest on {p + 2 - i} vertices")
+    return relabel(join_of([_Oi_core(p, i), *forests]))
+
+
+def _Oi_core(p: int, i: int) -> CotreeNode:
+    """The complement of p+1-i disjoint copies of K_{p+1-i}."""
     side = p + 1 - i
-    core = complement_tree(union_of([_clique_tree(side) for _ in range(side)]))
-    return relabel(join_of([core, *forests]))
-
-
-def _clique_tree(k: int) -> CotreeNode:
-    return join_of([Leaf(j) for j in range(k)])
+    return complement_tree(union_of([join_of([Leaf(j) for j in range(side)]) for _ in range(side)]))
 
 
 def iter_family_Oi(p: int, i: int) -> Iterator[CotreeNode]:
     """All non-isomorphic members for the given p and i, deterministically; the
     first step raises ValueError unless p >= 2 and 0 <= i <= p."""
     _check_Oi(p, i)
+    core = _Oi_core(p, i)
     options = star_forests(p + 2 - i) if i else []
     seen: set[bytes] = set()
     for combo in combinations_with_replacement(options, i):
-        tree = family_Oi(p, i, combo)
+        tree = relabel(join_of([core, *combo]))  # family_Oi without re-checking its own forests
         code = canonical_code(tree)
         if code not in seen:
             seen.add(code)
@@ -203,7 +185,7 @@ def count_Oi_report(p: int, i: int) -> OiCount:
     """
     from fractions import Fraction  # only this report pays for the import
     distinct = count_Oi(p, i)
-    choices = count_partitions(p + 2 - i) - 1 if i else 0
+    choices = len(star_forests(p + 2 - i)) if i else 0
     multiset = math.comb(choices + i - 1, i) if i else 1
     formula = Fraction(choices ** i, math.factorial(i)) if i else Fraction(1)
     return OiCount(p, i, distinct, multiset, formula, formula == distinct)
@@ -307,12 +289,7 @@ def _normalize_goal(goal) -> tuple[Triple, ...]:
 
 def _first_goal(front, goal_t: tuple[Triple, ...]) -> Triple | None:
     """The first goal triple that a frontier in the goal's region admits, or None."""
-    for t in goal_t:
-        p, q, r = t
-        for a, b, c in front:
-            if a <= p and b <= q and c <= r:
-                return t
-    return None
+    return next((t for t in goal_t if _admits(front, t)), None)
 
 
 def _extend(kind: str, left, right, region: tuple[int, int, int]):

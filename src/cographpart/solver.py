@@ -188,6 +188,12 @@ def _region(*boxes: Triple) -> tuple[int, int, int]:
     return P, P + Q, P + R
 
 
+def _admits(front: _FrontierT, t) -> bool:
+    """True when some member of front lies below t, so t is feasible."""
+    p, q, r = t
+    return any(a <= p and b <= q and c <= r for a, b, c in front)
+
+
 def _leaf_frontier(region: tuple[int, int, int]) -> _FrontierT:
     P, PQ, PR = region
     cands = []
@@ -226,7 +232,7 @@ class TripleSet:
         t = as_triple(triple)
         if not self.box.dominates(t):
             raise ValueError(f"{tuple(t)} lies outside the computed box {tuple(self.box)}")
-        return any(t.dominates(m) for m in self.frontier)
+        return _admits(self.frontier, t)
 
     def triples(self):
         """All feasible triples in the box, lexicographically."""
@@ -455,7 +461,7 @@ def _certificate(tree: CotreeNode | None, t: Triple, without: int | None = None)
     leaf, absent = ((_leaf_frontier(region),), ()), ((_ABSENT,), ())
     info = _fold(tree, lambda node: absent if node.vertex == without else leaf, lambda node, kids: (
         _prefix_frontiers(node, [k[0][-1] for k in kids], region), kids))
-    if not any(t.dominates(Triple(*m)) for m in info[0][-1]):
+    if not _admits(info[0][-1], t):
         raise ValueError(f"no ({t.p}, {t.q}, {t.r})-partition exists")
 
     def expand(seed):

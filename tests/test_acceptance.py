@@ -86,6 +86,28 @@ def test_arboricity_two_iff_catalog_free():
           f"{checked} cographs with at most 11 vertices")
 
 
+def test_arboricity_three_iff_list_free(arboricity_three_obstructions):
+    """The complete (3,0,0) list on hosts larger than any enumeration
+    reaches: rho(G) <= 3 exactly when G is free of the list. Seed 11 keeps
+    the first 300 random cotrees on 12-36 vertices (omega <= 36 holds for
+    all); seed 12 the first 300 on 14-40 vertices with omega <= 6, whose
+    rho = 4 no K(7) settles. Both sweeps hold rho = 4 hosts, so the
+    boundary is crossed."""
+    members = [realize(parse_expr(r.dsl)) for r in arboricity_three_obstructions]
+    for seed, lo, hi, max_omega in ((11, 12, 36, 36), (12, 14, 40, 6)):
+        rng = random.Random(seed)
+        hosts = []
+        while len(hosts) < 300:
+            t = random_cotree(rng.randint(lo, hi), rng)
+            if chromatic_number(t) <= max_omega:
+                hosts.append(t)
+        rhos = [vertex_arboricity(t) for t in hosts]
+        for t, rho in zip(hosts, rhos):
+            assert (rho <= 3) == is_family_free(realize(t), members), (seed, to_expr(t))
+        assert 4 in rhos, seed
+        print(f"PASS: seed {seed}, {rhos.count(4)} of 300 hosts with rho = 4")
+
+
 def test_one_forest_characterization():
     patterns = {q: (Graph.complete(q + 3),
                     realize(parse_expr(f"C(U({q + 2}*K(2)))")))

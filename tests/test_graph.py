@@ -55,6 +55,10 @@ def test_constructor_validates_rows():
     # bit outside the vertex range
     with pytest.raises(ValueError):
         Graph(2, (0b110, 0b001))
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Graph(-1)
+    with pytest.raises(ValueError, match="one adjacency row per vertex"):
+        Graph(2, (0,))
 
 
 def test_complete_and_complement():
@@ -83,6 +87,9 @@ def test_induced_subgraph_relabels():
     assert h.n == 3
     assert list(h.edges()) == [(0, 1), (1, 2)]
     assert g.induced_subgraph([]).n == 0
+    for v in (5, -1):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            g.induced_subgraph([0, v])
 
 
 def test_induced_subgraph_matches_networkx():
@@ -211,6 +218,8 @@ def test_graph6_rejects_malformed():
         Graph.from_graph6("~??")  # truncated "~" vertex count
     with pytest.raises(ValueError, match="invalid graph6 character"):
         Graph.from_sparse6(":Fa w")  # ' ' lies outside 63..126
+    with pytest.raises(ValueError, match="sparse6 input: use from_sparse6"):
+        Graph.from_graph6(Graph.complete(4).to_sparse6())
 
 
 def test_edge_list_text_round_trip():
@@ -239,6 +248,8 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert len({a, b, c}) == 2
+    assert a.__eq__(a.to_graph6()) is NotImplemented and a != a.to_graph6()
+    assert repr(a) == "Graph(n=3, m=1)"
 
 
 def test_row_and_iter_bits():

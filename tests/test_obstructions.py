@@ -151,6 +151,8 @@ def test_family_oi_rejects_wrong_forest():
         family_Oi(3, 1, [star_forests(3)[0]])  # needs forests on 4 vertices
     with pytest.raises(ValueError):
         family_Oi(3, 1, [parse_expr("I(4)")])  # not a star forest
+    with pytest.raises(ValueError, match="expected 2 forests, got 1"):
+        family_Oi(3, 2, star_forests(3)[:1])
 
 
 def test_count_oi():
@@ -242,6 +244,10 @@ def test_build_h_rejects_bad_inputs():
     # K_4 is not an obstruction for (2,0,0) at all
     with pytest.raises(ValueError):
         build_H(g1, parse_expr("K(4)"), 2)
+    with pytest.raises(ValueError, match="requires p >= 1"):
+        build_H(g1, g1, 0)
+    with pytest.raises(ValueError, match="second input is empty"):
+        build_H(g1, None, 2)
 
 
 def test_is_minimal_obstruction_k5():
@@ -274,6 +280,10 @@ def test_is_minimal_obstruction_feasible_graph():
     cx = report.counterexample
     assert cx is not None
     assert check_partition(Graph.complete(4), cx.labels, cx.triple)
+    # the empty graph admits every triple, the least goal triple first
+    assert is_minimal_obstruction(None, [(1, 0, 0), (0, 1, 0)]).to_json() == {
+        "graph6": "?", "dsl": "", "goal": [[0, 1, 0], [1, 0, 0]], "obstruction": False,
+        "minimal": False, "counterexample": {"triple": [0, 1, 0], "labels": []}}
 
 
 @pytest.mark.parametrize("dsl, goal, text", [
@@ -752,6 +762,8 @@ def test_search_rejects_jobs_below_one():
     for jobs in (0, -4):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             search_minimal_obstructions(4, (1, 0, 0), jobs=jobs)
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        search_minimal_obstructions(0, (1, 0, 0))
 
 
 def test_search_starts_no_process(monkeypatch):

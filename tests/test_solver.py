@@ -148,7 +148,8 @@ def test_triple_set_json_round_trip():
     assert data["box"] == [4, 4, 4]
     assert [0, 2, 0] in data["frontier"]
     back = TripleSet.from_json(data)
-    assert back == ts
+    assert back == ts and hash(back) == hash(ts)
+    assert ts.__eq__(data) is NotImplemented and ts != data
     with pytest.raises(ValueError):
         TripleSet.from_json({"box": [1, 1, 1], "frontier": [[5, 5, 5]]})
     # a member dominating another, or a repeated one, would load as a set
@@ -371,6 +372,8 @@ def test_certificate_json_round_trip():
     back = PartitionCertificate.from_json(data, (0, 2, 0))
     assert back.labels == cert.labels
     assert check_partition(C4, back, (0, 2, 0))
+    with pytest.raises(ValueError, match="must cover vertices 0..n-1"):
+        PartitionCertificate.from_json({"labels": [{"v": 0, "class": "F1"}, {"v": 2, "class": "F1"}]})
 
 
 def test_check_partition_judgements():
@@ -568,7 +571,7 @@ def test_accepts_graph_tree_and_tuple_inputs():
     assert is_partitionable(C4, Triple(0, 2, 0))
     assert is_partitionable(C4_TREE, [0, 2, 0])
     # bools are ints to Python, but not budgets
-    for bad in ((0, -1, 0), (True, 0, 2), (0, 0, False)):
+    for bad in ((0, -1, 0), (True, 0, 2), (0, 0, False), (0, 2), (0, 2, 0, 0)):
         with pytest.raises(ValueError):
             is_partitionable(C4, bad)
     with pytest.raises(ValueError):
