@@ -28,11 +28,11 @@ from __future__ import annotations
 import heapq
 import re
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from typing import NamedTuple
 
 from .cotree import (
-    CotreeNode, Join, Leaf, Union, _as_graph, _coerce_tree, _fold, _unfold, leaf_count,
+    CotreeNode, Join, Leaf, Union, _as_graph, _coerce_tree, _fold, _unfold,
 )
 from .graph import iter_bits
 from .strength import q_from_strength, strength_profile
@@ -311,9 +311,13 @@ class PartitionCertificate(NamedTuple):
 
     @classmethod
     def from_json(cls, data: dict, triple=None) -> PartitionCertificate:
-        """Raises ValueError on a vertex id that is not an int or appears twice."""
+        """Raises ValueError on a malformed document or on a bad or repeated vertex id."""
+        items = data.get("labels") if isinstance(data, dict) else None
+        if not isinstance(items, list) or not all(
+                isinstance(item, dict) and "v" in item and "class" in item for item in items):
+            raise ValueError('a certificate must be {"labels": [{"v": id, "class": label}, ...]}')
         labels: dict[int, str] = {}
-        for item in data["labels"]:
+        for item in items:
             v = item["v"]
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"vertex id {v!r} is not an integer")
@@ -537,23 +541,21 @@ def vertex_arboricity(graph_or_tree) -> int:
 
     A forest holds at most two vertices of a clique, so p >= ceil(omega/2);
     colour classes are forests and cographs are perfect, so p <= chi = omega.
-    Only that bracket is searched.
+    Only that bracket is searched, from the box (ceil(omega/2) + 1, 0, 0) up.
     """
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return 0
     omega = chromatic_number(tree)
     first = (omega + 1) // 2
-    step = 1
-    while True:
-        k = min(first + step - 1, omega)
+    for i in count(1):
+        k = min(first + 2 ** i - 1, omega)
         frontier = _frontier_in(tree, Triple(k, 0, 0))
         if frontier:
             return min(a for a, _, _ in frontier)
         if k >= omega:
             # (omega, 0, 0) is feasible, so only a solver bug gets here
             raise AssertionError("last box of the search came back empty")
-        step *= 2
 
 
 def chromatic_number(graph_or_tree) -> int:
@@ -571,7 +573,7 @@ def chromatic_number(graph_or_tree) -> int:
 
 def min_deletions(graph_or_tree, p: int, q: int) -> int:
     """Least r such that (p, q, r) is feasible: deleting every vertex is
-    always a partition, so the fold at the box (p, q, n) holds it."""
+    always a partition, so the fold with no bound on r holds it."""
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, q)):
         raise ValueError("class budgets must be integers")
     if p < 0 or q < 0:
@@ -579,7 +581,7 @@ def min_deletions(graph_or_tree, p: int, q: int) -> int:
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return 0
-    return min(c for _, _, c in _frontier_in(tree, Triple(p, q, leaf_count(tree))))
+    return min(c for _, _, c in _frontier_in(tree, Triple(p, q, float("inf"))))
 
 
 def min_q_feedback(graph_or_tree) -> int:

@@ -1,5 +1,5 @@
-"""Shared helpers: networkx conversion, random graphs, the small-graph atlas
-and scrambled cotrees."""
+"""Shared helpers: networkx conversion, random graphs, the small-graph atlas,
+scrambled cotrees and caterpillars."""
 import os
 from functools import lru_cache
 from itertools import combinations
@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 import cographpart
-from cographpart import Graph, Leaf, leaf_count
+from cographpart import Graph, Join, Leaf, Union, leaf_count
 
 
 def to_nx(graph: Graph) -> nx.Graph:
@@ -40,6 +40,14 @@ def has_p4_brute(graph: Graph) -> bool:
         if degs == [1, 1, 2, 2]:
             return True
     return False
+
+
+def caterpillar(depth):
+    """Join at even levels, Union at odd ones; leaf ids 0..depth left to right."""
+    node = Leaf(0)
+    for level in range(depth):
+        node = (Join if level % 2 == 0 else Union)((node, Leaf(level + 1)))
+    return node
 
 
 def scrambled(tree, rng):

@@ -1,14 +1,17 @@
-"""Slow reference codecs, realize, row check, random trees and a deleting
-fold: the straightforward versions that the library's routines replaced,
-kept verbatim (methods become functions of the Graph) so tests can require
-byte-identical results.
+"""Slow reference codecs, realize, row check, random trees, a deleting
+fold and two derived parameters: the straightforward versions that the
+library's routines replaced, kept verbatim (methods become functions of the
+Graph) so tests can require byte-identical results.
 """
 import random
 
-from cographpart.cotree import Join, Leaf, Union, _fold, _unfold, leaves, relabel
+from cographpart.cotree import (
+    Join, Leaf, Union, _coerce_tree, _fold, _unfold, leaf_count, leaves, relabel,
+)
 from cographpart.graph import Graph, _decode_order, _encode_order, _strip_header, iter_bits
 from cographpart.solver import (
-    _ABSENT, Triple, TripleSet, _leaf_frontier, _prefix_frontiers, _region,
+    _ABSENT, Triple, TripleSet, _frontier_in, _leaf_frontier, _prefix_frontiers, _region,
+    chromatic_number,
 )
 
 # the six bits of each graph6 character 63..126
@@ -146,3 +149,40 @@ def feasible_set(tree, box: Triple, without: int | None = None) -> TripleSet:
         if a <= box.p and b <= box.q and c <= box.r
     )
     return TripleSet(box, frontier)
+
+
+def vertex_arboricity(graph_or_tree) -> int:
+    """Least p such that (p, 0, 0) is feasible.
+
+    A forest holds at most two vertices of a clique, so p >= ceil(omega/2);
+    colour classes are forests and cographs are perfect, so p <= chi = omega.
+    Only that bracket is searched.
+    """
+    tree = _coerce_tree(graph_or_tree)
+    if tree is None:
+        return 0
+    omega = chromatic_number(tree)
+    first = (omega + 1) // 2
+    step = 1
+    while True:
+        k = min(first + step - 1, omega)
+        frontier = _frontier_in(tree, Triple(k, 0, 0))
+        if frontier:
+            return min(a for a, _, _ in frontier)
+        if k >= omega:
+            # (omega, 0, 0) is feasible, so only a solver bug gets here
+            raise AssertionError("last box of the search came back empty")
+        step *= 2
+
+
+def min_deletions(graph_or_tree, p: int, q: int) -> int:
+    """Least r such that (p, q, r) is feasible: deleting every vertex is
+    always a partition, so the fold at the box (p, q, n) holds it."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, q)):
+        raise ValueError("class budgets must be integers")
+    if p < 0 or q < 0:
+        raise ValueError("class budgets must be nonnegative")
+    tree = _coerce_tree(graph_or_tree)
+    if tree is None:
+        return 0
+    return min(c for _, _, c in _frontier_in(tree, Triple(p, q, leaf_count(tree))))

@@ -259,7 +259,7 @@ def _bits(mask):
 
 def _timed_solve(tree, box):
     best = float("inf")
-    for _ in range(3):
+    for _ in range(5):
         _combine_cache.clear()
         start = time.perf_counter()
         feasible_set(tree, box)

@@ -37,14 +37,7 @@ from cographpart import obstructions
 from cographpart.cli import main
 
 import slow_reference
-
-
-def caterpillar(depth):
-    """Join at even levels, Union at odd ones; leaf ids 0..depth left to right."""
-    node = Leaf(0)
-    for level in range(depth):
-        node = (Join if level % 2 == 0 else Union)((node, Leaf(level + 1)))
-    return node
+from conftest import caterpillar
 
 
 def k2_union(pieces):

@@ -1,6 +1,9 @@
-"""The bulk codecs, realize, row check and random trees against their slow
-references: identical bytes, rows, trees and errors."""
+"""The bulk codecs, realize, row check, random trees and two derived
+parameters against their slow references: identical bytes, rows, trees,
+answers and errors."""
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -8,20 +11,25 @@ import slow_reference as ref
 from cographpart import (
     Graph,
     Union,
+    chromatic_number,
     complement_tree,
     enumerate_cographs,
     leaves,
+    min_deletions,
+    parse_expr,
     random_balanced_cotree,
     random_cotree,
     realize,
     relabel,
     to_expr,
     union_of,
+    vertex_arboricity,
 )
+from cographpart import cotree, solver
 from cographpart.cotree import _balanced_split, _random_split
 from cographpart.graph import _chars
 
-from conftest import random_graph, scrambled
+from conftest import caterpillar, random_graph, scrambled
 
 
 def assert_codecs_match(graph):
@@ -137,3 +145,70 @@ def test_random_trees_match_reference(generate, split):
     for n, seed in ((1000, 1002), (1000, 1003), (500, 1005), (500, 1007), (12, 5), (64, 3)):
         tree, want = generate(n, seed), ref.random_tree(n, seed, split)
         assert (to_expr(tree), list(leaves(tree))) == (to_expr(want), list(leaves(want)))
+
+
+def derived_inputs():
+    """(tree, (p, q) budgets) pairs: every cograph on at most 8 vertices with
+    p, q in 0..3; seeded random and balanced cotrees up to 2,000 leaves, some
+    with rho = ceil(omega/2) + 1 and some with rho >= ceil(omega/2) + 2 (the
+    balanced trees on seeds 0 and 2); caterpillars; unions of small pieces."""
+    small = list(product(range(4), repeat=2))
+    for n in range(1, 9):
+        for tree in enumerate_cographs(n):
+            yield tree, small
+    few = [(0, 1), (1, 1), (2, 0), (3, 3)]
+    for n, seed in ((500, 0), (1000, 0), (2000, 0), (1000, 1003), (500, 1007)):
+        yield random_cotree(n, seed), few
+    for n, seed in ((500, 2), (1000, 0), (2000, 2), (2000, 3)):
+        yield random_balanced_cotree(n, seed), few
+    for depth in (10, 63, 150):
+        yield caterpillar(depth), small
+    for dsl in ("U(20*K(5))", "U(K(3),K(7),K(9),C(U(3*K(3))))", "U(500*C(U(2*K(2))))",
+                "J(U(4*K(3)),U(6*K(2)),I(5))", "C(U(30*K(6)))", "C(U(10*K(10)))"):
+        yield parse_expr(dsl), small
+
+
+def count_calls(monkeypatch, *targets) -> Counter:
+    """Wrap each (module, name) target so that it counts its calls under
+    "module.name" in the returned Counter."""
+    counts = Counter()
+    for module, name in targets:
+        def counted(*args, _f=getattr(module, name), _key=f"{module.__name__}.{name}"):
+            counts[_key] += 1
+            return _f(*args)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_derived_parameters_match_reference(monkeypatch):
+    """vertex_arboricity and min_deletions give the slow references' answers,
+    and vertex_arboricity never folds more often than its reference."""
+    folds = count_calls(monkeypatch, (solver, "_frontier_in"), (ref, "_frontier_in"))
+    high = 0
+    for tree, budgets in derived_inputs():
+        folds.clear()
+        rho = vertex_arboricity(tree)
+        assert rho == ref.vertex_arboricity(tree)
+        assert folds["cographpart.solver._frontier_in"] <= folds["slow_reference._frontier_in"]
+        assert [min_deletions(tree, p, q) for p, q in budgets] == \
+            [ref.min_deletions(tree, p, q) for p, q in budgets]
+        high += rho >= (chromatic_number(tree) + 1) // 2 + 2
+    assert high >= 3
+
+
+def test_derived_parameters_fold_once(monkeypatch):
+    """min_deletions walks the tree once, and vertex_arboricity folds once
+    where rho = ceil(omega/2) + 1, a value its reference reaches in its
+    second fold."""
+    counts = count_calls(monkeypatch, (cotree, "_fold"), (solver, "_fold"),
+                         (solver, "_frontier_in"), (ref, "_frontier_in"))
+    for tree in (random_cotree(1000, 1003), random_cotree(500, 1007),
+                 random_balanced_cotree(2000, 3)):
+        counts.clear()
+        min_deletions(tree, 1, 1)
+        assert counts["cographpart.cotree._fold"] + counts["cographpart.solver._fold"] == 1
+        counts.clear()
+        vertex_arboricity(tree)
+        ref.vertex_arboricity(tree)
+        assert counts["cographpart.solver._frontier_in"] == 1
+        assert counts["slow_reference._frontier_in"] == 2
