@@ -176,6 +176,10 @@ def _cmd_check(args) -> int:
         valid = check_partition(graph, cert, triple)
     except OSError as exc:
         raise ValueError(f"cannot read {args.certificate}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError("malformed certificate: the file is not ASCII text") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError("malformed certificate: the file is not JSON") from exc
     except ValueError as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
     _emit(args, {"valid": valid})

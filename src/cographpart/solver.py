@@ -275,9 +275,18 @@ class TripleSet:
 
 
 def feasible_set(graph_or_tree, box) -> TripleSet:
-    """TripleSet of all feasible triples of the input within box."""
+    """TripleSet of all feasible triples of the input within box; empty,
+    without a fold, when the box's 2P + Q + R is below the clique number."""
     box = as_triple(box, "box")
-    return TripleSet(box, tuple(Triple(*m) for m in _frontier_in(_coerce_tree(graph_or_tree), box)))
+    return TripleSet(box, tuple(Triple(*m) for m in _decide(_coerce_tree(graph_or_tree), box)))
+
+
+def _decide(tree: CotreeNode | None, box: Triple) -> _FrontierT:
+    """_frontier_in, or () without a fold when 2P + Q + R < omega: a forest
+    holds at most two vertices of a clique, an independent class one."""
+    if tree is not None and box.obstruction_weight() < chromatic_number(tree):
+        return ()
+    return _frontier_in(tree, box)
 
 
 def _frontier_in(tree: CotreeNode | None, box: Triple) -> _FrontierT:
@@ -293,8 +302,9 @@ def _frontier_in(tree: CotreeNode | None, box: Triple) -> _FrontierT:
 
 
 def is_partitionable(graph_or_tree, triple) -> bool:
+    """True when triple is feasible; False, without a fold, when 2p + q + r < omega."""
     t = as_triple(triple)
-    return bool(_frontier_in(_coerce_tree(graph_or_tree), t))
+    return bool(_decide(_coerce_tree(graph_or_tree), t))
 
 
 # -- certificates ------------------------------------------------------

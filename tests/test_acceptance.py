@@ -258,11 +258,13 @@ def _bits(mask):
 
 
 def _timed_solve(tree, box):
+    """Best of five cold frontier folds; feasible_set would skip the fold of
+    a box lighter than the clique number."""
     best = float("inf")
     for _ in range(5):
         _combine_cache.clear()
         start = time.perf_counter()
-        feasible_set(tree, box)
+        solver._frontier_in(tree, Triple(*box))
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -294,7 +296,8 @@ def test_linear_work(monkeypatch):
     """The count beside test_linear_scaling's timing, deaf to host load: a
     cold (5, 5, 5) fold of the same seeded 25k- and 100k-leaf balanced trees
     combines two frontiers leaves - 1 times, and its memo misses (one
-    antichain build each) per leaf do not rise with the tree."""
+    antichain build each) per leaf do not rise with the tree. feasible_set
+    makes no combine there, since the box weighs less than the clique number."""
     rng = random.Random(9)
     small = random_balanced_cotree(25_000, rng)
     large = random_balanced_cotree(100_000, rng)
@@ -312,10 +315,13 @@ def test_linear_work(monkeypatch):
     for tree, n in ((small, 25_000), (large, 100_000)):
         _combine_cache.clear()
         counts.update(combine=0, miss=0)
-        feasible_set(tree, (5, 5, 5))
+        solver._frontier_in(tree, Triple(5, 5, 5))
         assert counts["combine"] == n - 1
         misses.append(counts["miss"])
     assert misses[1] / 100_000 <= misses[0] / 25_000, misses
+    counts.update(combine=0)
+    assert feasible_set(small, (5, 5, 5)).frontier == ()
+    assert counts["combine"] == 0
 
 
 def test_random_invariant_sweep():

@@ -1,12 +1,14 @@
 """Command line interface tests, driven through main()."""
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import cographpart
 from cographpart import (
     FAMILY_A2_DSL, Graph, OracleBudget, Triple, cli, extract_certificate,
     random_balanced_cotree, random_cotree, realize, to_expr,
@@ -210,20 +212,24 @@ def test_resource_errors_are_input_errors(capsys, monkeypatch, error):
     '{"labels": {"v": 0}}',
     '{"labels": [1, 2]}',
     '{"labels": [{"v": 0, "class": "F1"}, {"v": 1}]}',
+    'not json',
+    '{"labels": [{"v": 0, "class": "F\u00e9"}]}',
 ], ids=["repeated", "float", "string", "bool", "overflow", "list", "labels-object",
-        "int-labels", "no-class"])
+        "int-labels", "no-class", "not-json", "not-ascii"])
 def test_check_rejects_bad_vertex_ids(capsys, tmp_path, text):
     """Each malformed document exits 2 with a message in plain words, not
-    the wording of the TypeError or KeyError that reading it would raise."""
+    the wording of the TypeError, KeyError, JSON or codec error that reading
+    it would raise."""
     path = tmp_path / "cert.json"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, out = run(capsys, "check", "--dsl", "K(2)", "--triple", "1,0,0",
                     "--certificate", str(path))
     assert code == 2
     lines = out.splitlines()
     error = json.loads(lines[0])["error"]
     assert len(lines) == 1 and error.startswith("malformed certificate: ")
-    assert not any(words in error for words in ("indices must be", "subscriptable", "'class'"))
+    assert not any(words in error for words in (
+        "indices must be", "subscriptable", "'class'", "Expecting value", "codec can't decode"))
 
 
 def test_check_rejects_malformed_certificate(capsys, tmp_path):
@@ -487,14 +493,16 @@ def test_console_script_runs():
 
 def test_import_footprint():
     """The CLI loads no dataclasses, inspect or fractions; the package loads
-    every module whose functions a tracer may patch."""
+    every module whose functions a tracer may patch. The probe runs without
+    the site module, whose .pth hooks would count the host's packages."""
     probe = ("import json, sys\n"
              "import cographpart.cli\n"
              "heavy = [m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules]\n"
              "import cographpart\n"
              "mods = ('graph', 'cotree', 'solver', 'strength', 'obstructions')\n"
              "print(json.dumps([heavy, [m for m in mods if 'cographpart.' + m in sys.modules]]))\n")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cographpart.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     heavy, loaded = json.loads(proc.stdout)
     assert heavy == []

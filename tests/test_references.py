@@ -10,10 +10,12 @@ import pytest
 import slow_reference as ref
 from cographpart import (
     Graph,
+    Triple,
     Union,
     chromatic_number,
     complement_tree,
     enumerate_cographs,
+    feasible_set,
     leaves,
     min_deletions,
     parse_expr,
@@ -212,3 +214,51 @@ def test_derived_parameters_fold_once(monkeypatch):
         ref.vertex_arboricity(tree)
         assert counts["cographpart.solver._frontier_in"] == 1
         assert counts["slow_reference._frontier_in"] == 2
+
+
+def assert_weight_law(tree, box, frontier):
+    """Law L5 on a fold's frontier: every member has 2a + b + c >= omega, and
+    (0, omega, 0) is admitted wherever the box holds it."""
+    omega = chromatic_number(tree)
+    assert all(m.obstruction_weight() >= omega for m in frontier.frontier), (box, omega)
+    if box.dominates(Triple(0, omega, 0)):
+        assert frontier.contains((0, omega, 0)), (box, omega)
+
+
+def test_weight_check_matches_reference_on_small_cographs():
+    """feasible_set, which answers a box lighter than omega without a fold,
+    equals the reference fold on every cograph with up to 7 vertices at
+    every box in {0..3}^3."""
+    for n in range(1, 8):
+        for tree in enumerate_cographs(n):
+            for box in product(range(4), repeat=3):
+                box = Triple(*box)
+                want = ref.feasible_set(tree, box)
+                assert feasible_set(tree, box) == want, (to_expr(tree), box)
+                assert_weight_law(tree, box, want)
+
+
+def weight_check_trees():
+    """Seeded trees of 500 to 3,000 leaves: random, balanced, a caterpillar
+    and a union of small joins."""
+    rng = random.Random(33)
+    parts = [random_cotree(rng.randint(5, 20), rng) for _ in range(80)]
+    yield random_cotree(3000, 33)
+    yield random_cotree(500, 34)
+    yield random_balanced_cotree(2000, 35)
+    yield caterpillar(600)
+    yield relabel(union_of([complement_tree(t) if isinstance(t, Union) else t for t in parts]))
+
+
+def test_weight_check_matches_reference_on_large_trees():
+    """The same equality at boxes weighing omega - 1, omega and omega + 1,
+    where the check turns from firing to folding."""
+    for tree in weight_check_trees():
+        omega = chromatic_number(tree)
+        for w in (omega - 1, omega, omega + 1):
+            for box in (Triple(0, w, 0), Triple(1, w - 2, 0), Triple(0, w - 2, 2)):
+                if min(box) < 0:
+                    continue
+                want = ref.feasible_set(tree, box)
+                assert feasible_set(tree, box) == want, (omega, box)
+                assert_weight_law(tree, box, want)

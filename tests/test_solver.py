@@ -34,7 +34,8 @@ from cographpart import (
     vertex_arboricity,
 )
 
-from cographpart.solver import _combine, _combine_cache
+from cographpart import solver
+from cographpart.solver import _combine, _combine_cache, _frontier_in
 
 from conftest import from_nx, to_nx
 
@@ -191,6 +192,30 @@ def test_matches_oracle_exhaustively():
                     assert ts.contains(trip) == brute_force_partitionable(g, trip), (box, trip)
 
 
+def test_weight_check_fires_only_on_infeasible_boxes(monkeypatch):
+    """Wherever feasible_set or is_partitionable answers without a fold, on
+    every cograph with up to 8 vertices and every box in {0..3}^3, the oracle
+    rejects the box's top triple."""
+    folds = []
+    monkeypatch.setattr(solver, "_frontier_in", lambda *args: folds.append(args) or _frontier_in(*args))
+    fired = 0
+    for n in range(1, 9):
+        for t in enumerate_cographs(n):
+            g = realize(t)
+            for box in product(range(4), repeat=3):
+                folds.clear()
+                ts = feasible_set(t, box)
+                verdict = is_partitionable(t, box)
+                if folds:
+                    # the two share the check: both fold, or neither does
+                    assert len(folds) == 2
+                    continue
+                assert ts.frontier == () and not verdict
+                assert not brute_force_partitionable(g, box), (g.to_graph6(), box)
+                fired += 1
+    assert fired > 1000
+
+
 # the pinned digest below depends on these boxes and their order
 DIGEST_BOXES = ((2, 2, 2),) + UNEVEN_BOXES + (
     (3, 3, 3), (0, 0, 3), (1, 1, 1), (4, 0, 0), (0, 4, 0), (0, 0, 8), (1, 1, 8), (5, 5, 5))
@@ -274,7 +299,7 @@ def test_memo_keeps_one_copy_of_each_frontier():
     for _ in range(6):
         t = random_cotree(rng.randint(40, 200), rng)
         for box in ((2, 2, 2), (3, 0, 5), (1, 1, 8)):
-            feasible_set(t, box)
+            _frontier_in(t, Triple(*box))
     results = [v for k, v in _combine_cache.items() if k and k[0] in ("U", "J")]
     distinct = set(results)
     assert len(results) > len(distinct)
