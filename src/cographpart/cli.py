@@ -72,6 +72,8 @@ def _load_graph(args) -> Graph:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.edges}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError("the edge list file is not ASCII text") from exc
     return Graph.from_edge_list_text(text)
 
 

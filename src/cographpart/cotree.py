@@ -32,9 +32,10 @@ __all__ = [
 
 
 class _Node:
-    """An immutable cotree node with one field, compared and hashed by
-    identity: a structural hash would recurse down the whole subtree. Nodes
-    take weak references, so identity-keyed caches can hold them weakly."""
+    """An immutable cotree node with one field, plus derived values kept once
+    computed on a Union or Join root, compared and hashed by identity: a
+    structural hash would recurse down the whole subtree. Nodes take weak
+    references, so identity-keyed caches can hold them weakly."""
 
     __slots__ = ("__weakref__",)
 
@@ -63,14 +64,14 @@ class Leaf(_Node):
 
 
 class Union(_Node):
-    __slots__ = ("children",)
+    __slots__ = ("children", "_omega", "_profile")
 
     def __init__(self, children: tuple[CotreeNode, ...]):
         object.__setattr__(self, "children", children)
 
 
 class Join(_Node):
-    __slots__ = ("children",)
+    __slots__ = ("children", "_omega", "_profile")
 
     def __init__(self, children: tuple[CotreeNode, ...]):
         object.__setattr__(self, "children", children)

@@ -519,8 +519,9 @@ def check_partition(graph, certificate, triple) -> bool:
     forest_masks: dict[int, int] = {}
     indep_masks: dict[int, int] = {}
     deleted = 0
+    parsed: dict[str, tuple[str, int]] = {}
     for v, label in enumerate(labels):
-        kind, idx = _parse_label(label)
+        kind, idx = parsed.get(label) or parsed.setdefault(label, _parse_label(label))
         if kind == "F":
             if idx > t.p:
                 return False
@@ -577,8 +578,20 @@ def chromatic_number(graph_or_tree) -> int:
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return 0
-    return _fold(tree, lambda _: 1,
-                 lambda node, omegas: sum(omegas) if isinstance(node, Join) else max(omegas))
+    omega = getattr(tree, "_omega", None)
+    if omega is None:
+        omega = _fold(tree, _one, _node_omega)
+        if not isinstance(tree, Leaf):
+            object.__setattr__(tree, "_omega", omega)
+    return omega
+
+
+def _one(_) -> int:
+    return 1
+
+
+def _node_omega(node, omegas: list[int]) -> int:
+    return sum(omegas) if isinstance(node, Join) else max(omegas)
 
 
 def min_deletions(graph_or_tree, p: int, q: int) -> int:

@@ -12,10 +12,9 @@ fold over the cotree, so the profile comes out of one bottom-up pass:
 """
 from __future__ import annotations
 
-from functools import reduce
 from typing import NamedTuple
 
-from .cotree import Union, _coerce_tree, _fold
+from .cotree import Leaf, Union, _coerce_tree, _fold
 
 __all__ = ["StrengthProfile", "strength_profile", "q_from_strength"]
 
@@ -34,14 +33,24 @@ def strength_profile(graph_or_tree) -> StrengthProfile:
     tree = _coerce_tree(graph_or_tree)
     if tree is None:
         return StrengthProfile(0, 0, 0)
+    profile = getattr(tree, "_profile", None)
+    if profile is None:
+        omega, pairs = _fold(tree, _leaf_profile, _node_profile)
+        profile = StrengthProfile(omega, pairs, max(omega, pairs + 1))
+        if not isinstance(tree, Leaf):
+            object.__setattr__(tree, "_profile", profile)
+    return profile
 
-    def node(n, kids: list[tuple[int, int]]) -> tuple[int, int]:
-        if isinstance(n, Union):
-            return reduce(lambda a, b: (max(a[0], b[0]), max(a[1], b[1], 1)), kids)
-        return reduce(lambda a, b: (a[0] + b[0], a[1] + b[1]), kids)
 
-    omega, pairs = _fold(tree, lambda _: (1, 0), node)
-    return StrengthProfile(omega, pairs, max(omega, pairs + 1))
+def _leaf_profile(_) -> tuple[int, int]:
+    return 1, 0
+
+
+def _node_profile(n, kids: list[tuple[int, int]]) -> tuple[int, int]:
+    omegas, pairs = zip(*kids)
+    if isinstance(n, Union):
+        return max(omegas), max(*pairs, 1 if len(kids) > 1 else 0)
+    return sum(omegas), sum(pairs)
 
 
 def q_from_strength(strength: int) -> int:

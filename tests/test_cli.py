@@ -166,6 +166,13 @@ def test_edges_file_input(capsys, tmp_path):
     lines = out.splitlines()
     assert code == 2 and len(lines) == 1
     assert "exceeds" in json.loads(lines[0])["error"]
+    # a file that is not ASCII: plain words, not the codec's
+    path.write_text("2\n0 1\n\u00e9\n", encoding="utf-8")
+    code, out = run(capsys, "recognize", "--edges", str(path))
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error == "the edge list file is not ASCII text" and "codec" not in error
 
 
 def test_certificate_round_trip(capsys, tmp_path):

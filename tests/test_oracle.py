@@ -85,9 +85,10 @@ def test_assignment_budget():
     with pytest.raises(OracleBudgetExceeded):
         brute_force_partitionable(Graph.complete(9), Triple(1, 1, 0),
                                   budget=tight)
-    # the budget also runs out inside the independent-class branch and
-    # inside the deletion branch
-    for graph, triple in ((Graph.complete(9), Triple(0, 2, 0)), (Graph(5), Triple(0, 0, 5))):
+    # the budget also runs out inside the forest branch, the
+    # independent-class branch and the deletion branch
+    for graph, triple in ((Graph.complete(9), Triple(2, 0, 0)), (Graph.complete(9), Triple(0, 2, 0)),
+                          (Graph(5), Triple(0, 0, 5))):
         with pytest.raises(OracleBudgetExceeded, match="assignment budget 3 exhausted"):
             brute_force_partitionable(graph, triple, budget=tight)
 

@@ -1,6 +1,9 @@
 """The bulk codecs, realize, row check, random trees and two derived
 parameters against their slow references: identical bytes, rows, trees,
-answers and errors."""
+answers and errors. Also the clique number and strength profile that a
+cotree root keeps once computed, against brute force."""
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import product
@@ -10,24 +13,29 @@ import pytest
 import slow_reference as ref
 from cographpart import (
     Graph,
+    Leaf,
+    StrengthProfile,
     Triple,
     Union,
+    brute_force_strength,
     chromatic_number,
     complement_tree,
     enumerate_cographs,
     feasible_set,
     leaves,
     min_deletions,
+    min_q_feedback,
     parse_expr,
     random_balanced_cotree,
     random_cotree,
     realize,
     relabel,
+    strength_profile,
     to_expr,
     union_of,
     vertex_arboricity,
 )
-from cographpart import cotree, solver
+from cographpart import cotree, solver, strength
 from cographpart.cotree import _balanced_split, _random_split
 from cographpart.graph import _chars
 
@@ -214,6 +222,92 @@ def test_derived_parameters_fold_once(monkeypatch):
         ref.vertex_arboricity(tree)
         assert counts["cographpart.solver._frontier_in"] == 1
         assert counts["slow_reference._frontier_in"] == 2
+
+
+def test_kept_values_match_brute_force():
+    """On every cograph with at most 7 vertices, chromatic_number and
+    strength_profile equal the brute-force profile at the first and the
+    second call, whichever of the two is asked first."""
+    for n in range(1, 8):
+        for tree in enumerate_cographs(n):
+            want = brute_force_strength(realize(tree))
+            for first, second in ((chromatic_number, strength_profile),
+                                  (strength_profile, chromatic_number)):
+                root = copy.copy(tree)  # a new root, with nothing kept on it
+                for query in (first, second, first, second):
+                    got = query(root)
+                    assert got == (want if query is strength_profile else want.omega), \
+                        (to_expr(tree), query.__name__)
+
+
+def count_folds(monkeypatch) -> Counter:
+    return count_calls(monkeypatch, (cotree, "_fold"), (solver, "_fold"), (strength, "_fold"))
+
+
+def test_kept_values_fold_once(monkeypatch):
+    """chromatic_number and strength_profile each walk a root once, and
+    min_q_feedback reads the kept profile; a second feasible_set on a box
+    lighter than omega then makes no fold at all."""
+    folds = count_folds(monkeypatch)
+    for tree in (random_cotree(1000, 1003), random_balanced_cotree(2000, 3), caterpillar(300)):
+        for queries, walks in (((chromatic_number, strength_profile, min_q_feedback), [1, 1, 0]),
+                               ((min_q_feedback, strength_profile, chromatic_number), [1, 0, 1])):
+            root = copy.copy(tree)
+            for query, walked in zip(queries, walks):
+                folds.clear()
+                query(root)
+                assert folds.total() == walked, query.__name__
+            for query in queries:
+                folds.clear()
+                query(root)
+                assert folds.total() == 0, query.__name__
+        root = copy.copy(tree)
+        for walked in (1, 0):
+            folds.clear()
+            assert feasible_set(root, (1, 1, 1)).frontier == ()
+            assert folds.total() == walked
+
+
+def test_kept_values_start_fresh_on_copies(monkeypatch):
+    """A pickled or copied node keeps nothing from its original: it walks
+    its own tree and gets equal values. A complement gets its own values
+    too, though its original has kept them."""
+    folds = count_folds(monkeypatch)
+    for tree in (parse_expr("J(U(2*K(3)),I(2))"), random_cotree(60, 5)):
+        want = (chromatic_number(tree), strength_profile(tree))
+        for back in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
+            folds.clear()
+            assert (chromatic_number(back), strength_profile(back)) == want
+            assert folds.total() == 2
+    rng = random.Random(34)
+    for _ in range(60):
+        tree = random_cotree(rng.randint(1, 10), rng)
+        chromatic_number(tree), strength_profile(tree)
+        comp = complement_tree(tree)
+        want = brute_force_strength(realize(comp))
+        assert (chromatic_number(comp), strength_profile(comp)) == (want.omega, want), \
+            to_expr(tree)
+
+
+def test_kept_values_cannot_be_set_from_outside():
+    tree = parse_expr("J(I(2),K(1))")
+    chromatic_number(tree), strength_profile(tree)
+    for field in ("_omega", "_profile", "children"):
+        with pytest.raises(AttributeError):
+            setattr(tree, field, 5)
+        with pytest.raises(AttributeError):
+            delattr(tree, field)
+    assert (chromatic_number(tree), strength_profile(tree)) == (2, StrengthProfile(2, 1, 2))
+
+
+def test_leaf_root_answers_twice():
+    leaf = Leaf(0)
+    for _ in range(2):
+        assert chromatic_number(leaf) == 1
+        assert strength_profile(leaf) == StrengthProfile(1, 0, 1)
+        assert min_q_feedback(leaf) == 0
+        assert vertex_arboricity(leaf) == 1
+        assert feasible_set(leaf, (0, 0, 0)).frontier == ()
 
 
 def assert_weight_law(tree, box, frontier):

@@ -31,6 +31,7 @@ from cographpart import (
     parse_expr,
     random_cotree,
     realize,
+    to_expr,
     vertex_arboricity,
 )
 
@@ -292,6 +293,21 @@ def test_fold_order_independence():
             assert feasible_set(shuffled(t), (3, 3, 3)) == base
 
 
+def test_fold_restricts_to_smaller_boxes():
+    """Law L3 (restriction): on seeded random cotrees with at most 40 leaves,
+    the fold at a box B equals the fold at any box B' >= B in {0..3}^3,
+    filtered to B."""
+    rng = random.Random(19)
+    boxes = [Triple(*box) for box in product(range(4), repeat=3)]
+    for _ in range(100):
+        tree = random_cotree(rng.randint(1, 40), rng)
+        folds = {box: _frontier_in(tree, box) for box in boxes}
+        for small, big in product(boxes, repeat=2):
+            if big.dominates(small):
+                inside = tuple(m for m in folds[big] if small.dominates(Triple(*m)))
+                assert folds[small] == inside, (to_expr(tree), small, big)
+
+
 def test_memo_keeps_one_copy_of_each_frontier():
     """Cached frontiers that are equal as values are one object."""
     _combine_cache.clear()
@@ -475,6 +491,21 @@ def test_check_partition_malformed():
     for label in ("F1\n", "R\n"):
         with pytest.raises(ValueError):
             check_partition(C4, (label, "F1", "F1", "R"), (1, 0, 2))
+
+
+def test_check_partition_reads_labels_in_vertex_order():
+    """Each distinct label is parsed once, at its first vertex: a label over
+    budget before a malformed one is a False verdict, not an error."""
+    assert not check_partition(C4, ("Q3", "X1", "Q1", "Q1"), (0, 2, 0))
+    assert not check_partition(C4, ("F1", "F2", "F2", "Q0"), (1, 0, 0))
+    with pytest.raises(ValueError):
+        check_partition(C4, ("X1", "Q3", "Q1", "Q1"), (0, 2, 0))
+
+
+def test_check_partition_names_the_malformed_label():
+    for labels in (("Q1", "Q1", "Z9", "Q2"), ("Q1", "Z9", "Z9", "Q2"), ("Z9",) * 4):
+        with pytest.raises(ValueError, match="malformed class label 'Z9'"):
+            check_partition(C4, labels, (0, 2, 0))
 
 
 def test_vertex_arboricity():
