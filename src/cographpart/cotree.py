@@ -16,8 +16,9 @@ union, and C(expr) the complement (swaps Union and Join throughout).
 from __future__ import annotations
 
 import random
+import re
 from collections.abc import Iterator, Sequence
-from itertools import count
+from itertools import count, islice
 from operator import itemgetter
 
 from .graph import Graph, iter_bits
@@ -217,92 +218,91 @@ def canonical_code(tree: CotreeNode) -> bytes:
 # -- expression DSL ----------------------------------------------------
 
 
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise ValueError(f"expression error at position {self.pos}: {message}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def expr(self) -> CotreeNode:
-        # operators still waiting for a finished operand: ("*", count),
-        # ("C", None), or ("U" / "J", operands so far)
-        pending: list[tuple[str, object]] = []
-        while True:
-            ch = self.peek()
-            if "0" <= ch <= "9":    # ASCII only: int() would read other digits too
-                count = self.integer()
-                self.expect("*")
-                if count < 1:
-                    self.fail("repetition count must be at least 1")
-                pending.append(("*", count))
-                continue
-            if ch and ch in "UJC":
-                self.pos += 1
-                self.expect("(")
-                pending.append((ch, []))
-                continue
-            if not ch or ch not in "KI":
-                self.fail("expected K, I, U, J, C, or a repetition count")
-            self.pos += 1
-            self.expect("(")
-            size = self.integer()
-            self.expect(")")
-            if size < 1:
-                self.fail(f"{ch}(k) requires k >= 1")
-            value = (join_of if ch == "K" else union_of)([Leaf(0) for _ in range(size)])
-            # close operators until one needs another operand; repeated
-            # copies share nodes until parse_expr's relabel copies them
-            while pending:
-                op, arg = pending[-1]
-                if op == "*":
-                    value = union_of([value] * arg)
-                elif op == "C":
-                    self.expect(")")
-                    value = complement_tree(value)
-                else:
-                    arg.append(value)
-                    if self.peek() == ",":
-                        self.pos += 1
-                        break
-                    self.expect(")")
-                    value = union_of(arg) if op == "U" else join_of(arg)
-                pending.pop()
-            else:
-                return value
+# One item of the DSL: a repetition count with its "*", "U(", "J(" or "C(",
+# or a whole K(int) or I(int). All after an item's first character is
+# optional, so a malformed item matches up to where it goes wrong, and the
+# last group it matched names what was expected there.
+_ITEM = re.compile(r"\s*(?:([0-9]+)\s*(\*)?|([UJC])\s*(\()?|([KI])\s*(?:(\()\s*(?:([0-9]+)\s*(\))?)?)?)?")
+_EXPECTED = {None: "K, I, U, J, C, or a repetition count", 1: "'*'", 3: "'('", 5: "'('",
+             6: "an integer", 7: "')'"}
+# whitespace, then the "," or ")" that may follow
+_CLOSE = re.compile(r"\s*([,)]?)")
 
 
 def parse_expr(text: str) -> CotreeNode:
-    """Parse a cotree expression; leaf ids are assigned left to right."""
-    parser = _ExprParser(text)
-    tree = parser.expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.fail("trailing input")
-    return relabel(tree)
+    """Parse a cotree expression; leaf ids are assigned left to right.
+
+    One pass, without recursion: each leaf takes the next id when K(k) or
+    I(k) makes it, C(...) swaps Union and Join while its operand is built,
+    and k*X copies the built X k - 1 times with the ids that come next.
+    """
+    def fail(pos: int, message: str):
+        raise ValueError(f"expression error at position {pos}: {message}")
+
+    ids = count()
+    flip = False    # inside an odd number of C(...)
+    # operators still waiting for a finished operand: ("*", count),
+    # ("C", None), or (the Union or Join class to build, operands so far)
+    pending: list[tuple[object, object]] = []
+    pos = 0
+    while True:
+        m = _ITEM.match(text, pos)
+        pos = m.end()
+        last = m.lastindex
+        if last == 2:
+            k = int(m[1])
+            if k < 1:
+                fail(pos, "repetition count must be at least 1")
+            pending.append(("*", k))
+            continue
+        if last == 4:
+            if m[3] == "C":
+                flip = not flip
+                pending.append(("C", None))
+            else:
+                pending.append((Union if (m[3] == "U") != flip else Join, []))
+            continue
+        if last != 8:
+            if last in (1, 7):
+                int(m[last])    # an integer too long to convert fails first
+            fail(pos, f"expected {_EXPECTED[last]}")
+        size = int(m[7])
+        if size < 1:
+            fail(pos, f"{m[5]}(k) requires k >= 1")
+        kids = tuple(map(Leaf, islice(ids, size)))
+        value = kids[0] if size == 1 else (Join if (m[5] == "K") != flip else Union)(kids)
+        # close operators until one needs another operand
+        while pending:
+            op, arg = pending[-1]
+            if op == "*":
+                if arg > 1:
+                    # X's part of the repeat (its children when it is of the
+                    # repeat's class), then k - 1 copies from one fold, which
+                    # number their leaves from the next id
+                    cls = Join if flip else Union
+                    parts = value.children if isinstance(value, cls) else (value,)
+                    copies = _fold(Union(parts * (arg - 1)), lambda _: Leaf(next(ids)),
+                                   lambda n, copied: type(n)(tuple(copied)))
+                    value = cls(parts + copies.children)
+            else:
+                m = _CLOSE.match(text, pos)
+                pos, sep = m.end(), m[1]
+                if op != "C":
+                    arg.append(value)
+                    if sep == ",":
+                        break
+                if sep != ")":
+                    fail(m.start(1), "expected ')'")
+                if op == "C":
+                    flip = not flip
+                else:
+                    value = _flattened(op, arg)
+            pending.pop()
+        else:
+            end = _CLOSE.match(text, pos).start(1)
+            if end != len(text):
+                fail(end, "trailing input")
+            return value
 
 
 def to_expr(tree: CotreeNode) -> str:

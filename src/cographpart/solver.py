@@ -32,10 +32,10 @@ from itertools import chain, combinations, count
 from typing import NamedTuple
 
 from .cotree import (
-    CotreeNode, Join, Leaf, Union, _as_graph, _coerce_tree, _fold, _unfold,
+    CotreeNode, Leaf, Union, _as_graph, _coerce_tree, _fold, _unfold,
 )
 from .graph import iter_bits
-from .strength import q_from_strength, strength_profile
+from .strength import chromatic_number, q_from_strength, strength_profile
 
 __all__ = [
     "Triple", "TripleSet", "PartitionCertificate",
@@ -567,31 +567,6 @@ def vertex_arboricity(graph_or_tree) -> int:
         if k >= omega:
             # (omega, 0, 0) is feasible, so only a solver bug gets here
             raise AssertionError("last box of the search came back empty")
-
-
-def chromatic_number(graph_or_tree) -> int:
-    """Least q such that (0, q, 0) is feasible.
-
-    Cographs are perfect (Seinsche 1974), so this is the clique number: a
-    union takes the largest part's, a join adds its children's.
-    """
-    tree = _coerce_tree(graph_or_tree)
-    if tree is None:
-        return 0
-    omega = getattr(tree, "_omega", None)
-    if omega is None:
-        omega = _fold(tree, _one, _node_omega)
-        if not isinstance(tree, Leaf):
-            object.__setattr__(tree, "_omega", omega)
-    return omega
-
-
-def _one(_) -> int:
-    return 1
-
-
-def _node_omega(node, omegas: list[int]) -> int:
-    return sum(omegas) if isinstance(node, Join) else max(omegas)
 
 
 def min_deletions(graph_or_tree, p: int, q: int) -> int:

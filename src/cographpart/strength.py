@@ -3,18 +3,21 @@
 The strength of a cograph is the larger of its clique number and one plus
 the largest s for which 2s vertices induce a complete graph minus a
 perfect matching (the cocktail party graph on s pairs). Both quantities
-fold over the cotree, so the profile comes out of one bottom-up pass:
+fold over the cotree:
 
 * a clique lives inside one side of every union and splits over a join,
 * an induced cocktail on s >= 2 pairs is connected, hence inside one union
   part, while a union of two or more vertices always holds a single
   non-adjacent pair (s = 1); joins add the pair counts.
+
+The clique number is chromatic_number's, which the solver exports and a
+cotree root keeps once computed; the profile adds one fold for the pairs.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cotree import Leaf, Union, _coerce_tree, _fold
+from .cotree import Join, Leaf, Union, _coerce_tree, _fold
 
 __all__ = ["StrengthProfile", "strength_profile", "q_from_strength"]
 
@@ -28,6 +31,31 @@ class StrengthProfile(NamedTuple):
     strength: int
 
 
+def chromatic_number(graph_or_tree) -> int:
+    """Least q such that (0, q, 0) is feasible.
+
+    Cographs are perfect (Seinsche 1974), so this is the clique number: a
+    union takes the largest part's, a join adds its children's.
+    """
+    tree = _coerce_tree(graph_or_tree)
+    if tree is None:
+        return 0
+    omega = getattr(tree, "_omega", None)
+    if omega is None:
+        omega = _fold(tree, _one, _node_omega)
+        if not isinstance(tree, Leaf):
+            object.__setattr__(tree, "_omega", omega)
+    return omega
+
+
+def _one(_) -> int:
+    return 1
+
+
+def _node_omega(node, omegas: list[int]) -> int:
+    return sum(omegas) if isinstance(node, Join) else max(omegas)
+
+
 def strength_profile(graph_or_tree) -> StrengthProfile:
     """Clique number, maximum induced cocktail pairs, and strength."""
     tree = _coerce_tree(graph_or_tree)
@@ -35,22 +63,18 @@ def strength_profile(graph_or_tree) -> StrengthProfile:
         return StrengthProfile(0, 0, 0)
     profile = getattr(tree, "_profile", None)
     if profile is None:
-        omega, pairs = _fold(tree, _leaf_profile, _node_profile)
+        omega = chromatic_number(tree)
+        pairs = _fold(tree, lambda _: 0, _node_pairs)
         profile = StrengthProfile(omega, pairs, max(omega, pairs + 1))
         if not isinstance(tree, Leaf):
             object.__setattr__(tree, "_profile", profile)
     return profile
 
 
-def _leaf_profile(_) -> tuple[int, int]:
-    return 1, 0
-
-
-def _node_profile(n, kids: list[tuple[int, int]]) -> tuple[int, int]:
-    omegas, pairs = zip(*kids)
+def _node_pairs(n, pairs: list[int]) -> int:
     if isinstance(n, Union):
-        return max(omegas), max(*pairs, 1 if len(kids) > 1 else 0)
-    return sum(omegas), sum(pairs)
+        return max(*pairs, 1 if len(pairs) > 1 else 0)
+    return sum(pairs)
 
 
 def q_from_strength(strength: int) -> int:

@@ -1,12 +1,13 @@
-"""Slow reference codecs, realize, row check, random trees, a deleting
-fold and two derived parameters: the straightforward versions that the
+"""Slow reference codecs, realize, row check, expression parser, random
+trees, a deleting fold and two derived parameters: the straightforward versions that the
 library's routines replaced, kept verbatim (methods become functions of the
 Graph) so tests can require byte-identical results.
 """
 import random
 
 from cographpart.cotree import (
-    Join, Leaf, Union, _coerce_tree, _fold, _unfold, leaf_count, leaves, relabel,
+    CotreeNode, Join, Leaf, Union, _coerce_tree, _fold, _unfold, complement_tree, join_of,
+    leaf_count, leaves, relabel, union_of,
 )
 from cographpart.graph import Graph, _decode_order, _encode_order, _strip_header, iter_bits
 from cographpart.solver import (
@@ -109,6 +110,94 @@ def realize(tree) -> Graph:
 
     _fold(tree, lambda leaf: 1 << leaf.vertex, node)
     return Graph._unsafe(n, tuple(rows))
+
+
+class _ExprParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def fail(self, message: str):
+        raise ValueError(f"expression error at position {self.pos}: {message}")
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            self.fail(f"expected {ch!r}")
+        self.pos += 1
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            self.pos += 1
+        if self.pos == start:
+            self.fail("expected an integer")
+        return int(self.text[start : self.pos])
+
+    def expr(self) -> CotreeNode:
+        # operators still waiting for a finished operand: ("*", count),
+        # ("C", None), or ("U" / "J", operands so far)
+        pending: list[tuple[str, object]] = []
+        while True:
+            ch = self.peek()
+            if "0" <= ch <= "9":    # ASCII only: int() would read other digits too
+                count = self.integer()
+                self.expect("*")
+                if count < 1:
+                    self.fail("repetition count must be at least 1")
+                pending.append(("*", count))
+                continue
+            if ch and ch in "UJC":
+                self.pos += 1
+                self.expect("(")
+                pending.append((ch, []))
+                continue
+            if not ch or ch not in "KI":
+                self.fail("expected K, I, U, J, C, or a repetition count")
+            self.pos += 1
+            self.expect("(")
+            size = self.integer()
+            self.expect(")")
+            if size < 1:
+                self.fail(f"{ch}(k) requires k >= 1")
+            value = (join_of if ch == "K" else union_of)([Leaf(0) for _ in range(size)])
+            # close operators until one needs another operand; repeated
+            # copies share nodes until parse_expr's relabel copies them
+            while pending:
+                op, arg = pending[-1]
+                if op == "*":
+                    value = union_of([value] * arg)
+                elif op == "C":
+                    self.expect(")")
+                    value = complement_tree(value)
+                else:
+                    arg.append(value)
+                    if self.peek() == ",":
+                        self.pos += 1
+                        break
+                    self.expect(")")
+                    value = union_of(arg) if op == "U" else join_of(arg)
+                pending.pop()
+            else:
+                return value
+
+
+def parse_expr(text: str) -> CotreeNode:
+    """Parse a cotree expression; leaf ids are assigned left to right."""
+    parser = _ExprParser(text)
+    tree = parser.expr()
+    parser.skip_ws()
+    if parser.pos != len(text):
+        parser.fail("trailing input")
+    return relabel(tree)
 
 
 def random_tree(n: int, rng: random.Random | int, split):

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from cographpart import Graph
+from cographpart.graph import _encode_order
 
 from conftest import from_nx, random_graph, to_nx
 
@@ -220,6 +221,8 @@ def test_graph6_rejects_malformed():
         Graph.from_sparse6(":Fa w")  # ' ' lies outside 63..126
     with pytest.raises(ValueError, match="sparse6 input: use from_sparse6"):
         Graph.from_graph6(Graph.complete(4).to_sparse6())
+    with pytest.raises(ValueError, match="vertex count too large for graph6"):
+        _encode_order(68719476736)  # 2^36, one past the limit: no Graph is built this large
 
 
 def test_edge_list_text_round_trip():

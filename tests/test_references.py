@@ -1,7 +1,8 @@
-"""The bulk codecs, realize, row check, random trees and two derived
-parameters against their slow references: identical bytes, rows, trees,
-answers and errors. Also the clique number and strength profile that a
-cotree root keeps once computed, against brute force."""
+"""The bulk codecs, realize, row check, expression parser, random trees
+and two derived parameters against their slow references: identical
+bytes, rows, trees, answers and errors. Also the clique number and
+strength profile that a cotree root keeps once computed, against brute
+force."""
 import copy
 import pickle
 import random
@@ -21,6 +22,7 @@ from cographpart import (
     chromatic_number,
     complement_tree,
     enumerate_cographs,
+    family_Ap_dsl,
     feasible_set,
     leaves,
     min_deletions,
@@ -36,7 +38,7 @@ from cographpart import (
     vertex_arboricity,
 )
 from cographpart import cotree, solver, strength
-from cographpart.cotree import _balanced_split, _random_split
+from cographpart.cotree import _balanced_split, _fold, _random_split
 from cographpart.graph import _chars
 
 from conftest import caterpillar, random_graph, scrambled
@@ -157,6 +159,73 @@ def test_random_trees_match_reference(generate, split):
         assert (to_expr(tree), list(leaves(tree))) == (to_expr(want), list(leaves(want)))
 
 
+def parser_texts():
+    """to_expr of every cograph on at most 8 vertices, also complemented;
+    the family A_p catalogs for p <= 5; seeded random cotrees."""
+    for n in range(1, 9):
+        for tree in enumerate_cographs(n):
+            text = to_expr(tree)
+            yield text
+            yield f"C({text})"
+    for p in range(2, 6):
+        yield from family_Ap_dsl(p)
+    rng = random.Random(35)
+    for _ in range(150):
+        yield to_expr(random_cotree(rng.randint(1, 40), rng))
+
+
+def parsed(parse, text):
+    """What parse makes of text: each node's type with its children's
+    results, and a leaf's id, in child order; or the error's text. No node
+    object may be placed twice."""
+    try:
+        tree = parse(text)
+    except ValueError as error:
+        return str(error)
+    seen = set()
+
+    def once(node, value):
+        assert id(node) not in seen, text
+        seen.add(id(node))
+        return value
+
+    return _fold(tree, lambda leaf: once(leaf, leaf.vertex),
+                 lambda n, kids: once(n, (type(n).__name__, tuple(kids))))
+
+
+def test_parser_matches_reference():
+    """parse_expr builds the reference's trees: node types, child order and
+    leaf ids, with fresh nodes throughout."""
+    for text in parser_texts():
+        got = parsed(parse_expr, text)
+        assert not isinstance(got, str), (text, got)
+        assert got == parsed(ref.parse_expr, text), text
+
+
+def test_parser_errors_match_reference():
+    """On every prefix of the parser texts, and on seeded single-character
+    deletions, insertions and substitutions from DSL symbols, digits,
+    spaces and look-alike characters, parse_expr fails exactly where and as
+    the reference does, or builds its tree; every error kind occurs."""
+    rng = random.Random(36)
+    symbols = "KIUJC()*,0123 \u0663\u00b2-"
+    outcomes = Counter()
+    for text in parser_texts():
+        mutants = [text[:i] for i in range(len(text))]
+        for _ in range(3):
+            i, c = rng.randrange(len(text) + 1), rng.choice(symbols)
+            mutants += [text[:i] + text[i + 1:], text[:i] + c + text[i:], text[:i] + c + text[i + 1:]]
+        for mutant in mutants:
+            got = parsed(parse_expr, mutant)
+            assert got == parsed(ref.parse_expr, mutant), repr(mutant)
+            outcomes[got.split(": ", 1)[1] if isinstance(got, str) else "tree"] += 1
+    kinds = {"tree", "trailing input", "repetition count must be at least 1",
+             "K(k) requires k >= 1", "I(k) requires k >= 1",
+             "expected K, I, U, J, C, or a repetition count", "expected '*'",
+             "expected '('", "expected an integer", "expected ')'"}
+    assert set(outcomes) == kinds, outcomes
+
+
 def derived_inputs():
     """(tree, (p, q) budgets) pairs: every cograph on at most 8 vertices with
     p, q in 0..3; seeded random and balanced cotrees up to 2,000 leaves, some
@@ -245,13 +314,14 @@ def count_folds(monkeypatch) -> Counter:
 
 
 def test_kept_values_fold_once(monkeypatch):
-    """chromatic_number and strength_profile each walk a root once, and
-    min_q_feedback reads the kept profile; a second feasible_set on a box
-    lighter than omega then makes no fold at all."""
+    """A root is walked once for omega and once for the cocktail pairs:
+    strength_profile reads omega from chromatic_number, which keeps it on
+    the root, and min_q_feedback reads the kept profile; a second
+    feasible_set on a box lighter than omega then makes no fold at all."""
     folds = count_folds(monkeypatch)
     for tree in (random_cotree(1000, 1003), random_balanced_cotree(2000, 3), caterpillar(300)):
         for queries, walks in (((chromatic_number, strength_profile, min_q_feedback), [1, 1, 0]),
-                               ((min_q_feedback, strength_profile, chromatic_number), [1, 0, 1])):
+                               ((min_q_feedback, strength_profile, chromatic_number), [2, 0, 0])):
             root = copy.copy(tree)
             for query, walked in zip(queries, walks):
                 folds.clear()

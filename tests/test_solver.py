@@ -3,7 +3,7 @@ parameters."""
 import hashlib
 import random
 import tracemalloc
-from itertools import product
+from itertools import accumulate, combinations, product
 
 import networkx as nx
 import pytest
@@ -36,7 +36,10 @@ from cographpart import (
 )
 
 from cographpart import solver
-from cographpart.solver import _combine, _combine_cache, _frontier_in
+from cographpart.cotree import _fold
+from cographpart.solver import (
+    _ABSENT, _combine, _combine_cache, _frontier_in, _leaf_frontier, _prefix_frontiers, _region,
+)
 
 from conftest import from_nx, to_nx
 
@@ -306,6 +309,115 @@ def test_fold_restricts_to_smaller_boxes():
             if big.dominates(small):
                 inside = tuple(m for m in folds[big] if small.dominates(Triple(*m)))
                 assert folds[small] == inside, (to_expr(tree), small, big)
+
+
+def dominates(t, s) -> bool:
+    return all(x >= y for x, y in zip(t, s))
+
+
+def raised(t) -> tuple[int, int, int]:
+    """t as (p, p + q, p + r): a graph's feasible set is closed upward in
+    this order too, since an independent class, or a deleted vertex, can
+    join a new forest class."""
+    p, q, r = t
+    return p, p + q, p + r
+
+
+def random_frontier(rng, region):
+    """The minimal members of the region's triples that lie above up to
+    three random ones in the raised order: shaped like a graph's frontier.
+    A member is minimal when no triple one step below it is kept."""
+    P, PQ, PR = region
+    points = [(a, b, c) for a in range(P + 1) for b in range(PQ - a + 1) for c in range(PR - a + 1)]
+    seeds = [raised(t) for t in rng.sample(points, rng.randint(0, min(3, len(points))))]
+    up = {t for t in points if any(dominates(raised(t), s) for s in seeds)}
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return tuple(t for t in points if t in up and not any(
+        tuple(x - d for x, d in zip(t, step)) in up for step in steps))
+
+
+def law_cases():
+    """(kind, region, frontiers to combine in turn): three random frontiers
+    in each of 500 random regions with P, Q, R <= 3, under either combine;
+    then the children's frontiers at every node of seeded random cotrees
+    with at most 40 leaves, folded at random boxes in {0..3}^3."""
+    rng = random.Random(37)
+    for _ in range(500):
+        P, Q, R = (rng.randint(0, 3) for _ in range(3))
+        region = (P, P + Q, P + R)
+        fronts = [random_frontier(rng, region) for _ in range(3)]
+        yield "U", region, fronts
+        yield "J", region, fronts
+    for _ in range(60):
+        tree = random_cotree(rng.randint(2, 40), rng)
+        region = _region(Triple(*(rng.randint(0, 3) for _ in range(3))))
+        leaf = _leaf_frontier(region)
+        cases = []
+
+        def node(n, fronts):
+            cases.append(("U" if isinstance(n, Union) else "J", region, fronts))
+            return _prefix_frontiers(n, fronts, region)[-1]
+
+        _fold(tree, lambda _: leaf, node)
+        yield from cases
+
+
+def test_combines_commute_and_associate():
+    """Law L1: both combines are commutative and associative. (On arbitrary
+    antichains the join is not associative: ((0,0,2)) J ((0,1,0), (3,0,0))
+    J ((0,4,1), (0,5,0), (1,0,0)) in region (3, 6, 3) differs by (3,2,0)
+    between the two groupings. A graph's frontier is not arbitrary; see
+    raised.)"""
+    for kind, region, fronts in law_cases():
+        for f, g in zip(fronts, fronts[1:]):
+            assert _combine(kind, f, g, region) == _combine(kind, g, f, region), (kind, region, f, g)
+        for f, g, h in zip(fronts, fronts[1:], fronts[2:]):
+            left = _combine(kind, _combine(kind, f, g, region), h, region)
+            assert left == _combine(kind, f, _combine(kind, g, h, region), region), \
+                (kind, region, f, g, h)
+
+
+def test_absent_is_the_identity_of_both_combines():
+    """Law L2: _ABSENT gives back the other operand itself, on either side.
+    A frontier equal to it that is another object goes through the
+    combine's arithmetic and gives the other operand's members, sorted (a
+    leaf's frontier is not)."""
+    zero = tuple([(0, 0, 0)])
+    assert zero == _ABSENT and zero is not _ABSENT
+    for kind, region, fronts in law_cases():
+        for f in fronts:
+            assert _combine(kind, _ABSENT, f, region) is f is _combine(kind, f, _ABSENT, region)
+            assert _combine(kind, zero, f, region) == tuple(sorted(f)) == \
+                _combine(kind, f, zero, region), (kind, region, f)
+
+
+def test_adding_a_child_never_lowers_the_frontier():
+    """Law L4 (monotonicity): every member of a combine lies above a member
+    of each operand, and so every member of a node's partial product lies
+    above a member of the product before it: a graph admits every triple
+    its supergraphs admit."""
+    for kind, region, fronts in law_cases():
+        for f, g in zip(fronts, fronts[1:]):
+            out = _combine(kind, f, g, region)
+            for operand in (f, g):
+                assert all(any(dominates(m, t) for t in operand) for m in out), \
+                    (kind, region, f, g)
+        products = list(accumulate(fronts, lambda f, g: _combine(kind, f, g, region)))
+        for before, after in zip(products, products[1:]):
+            assert all(any(dominates(m, t) for t in before) for m in after), (kind, region, fronts)
+
+
+def test_combines_give_sorted_antichains_in_the_region():
+    """Law L6: every combine gives its members sorted, none above another,
+    each nonnegative and inside the region."""
+    for kind, region, fronts in law_cases():
+        P, PQ, PR = region
+        for f, g in zip(fronts, fronts[1:]):
+            out = _combine(kind, f, g, region)
+            assert list(out) == sorted(set(out)), (kind, region, f, g)
+            assert not any(dominates(t, s) for s, t in combinations(out, 2)), (kind, region, f, g)
+            assert all(min(t) >= 0 and t[0] <= P and t[0] + t[1] <= PQ and t[0] + t[2] <= PR
+                       for t in out), (kind, region, f, g)
 
 
 def test_memo_keeps_one_copy_of_each_frontier():
