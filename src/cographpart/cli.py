@@ -53,11 +53,12 @@ def _parse_triple(text: str) -> Triple:
 
 
 def _parse_goal(text: str) -> tuple[Triple, ...]:
-    """Triples written p,q,r or (p,q,r), separated by commas or whitespace."""
+    """Triples written p,q,r or (p,q,r), separated by commas or whitespace,
+    in text order; the obstruction routines sort them and drop repeats."""
     if not _GOAL_RE.fullmatch(text.strip()):
         raise ValueError(f"expected triples (p,q,r) separated by commas or spaces, got {text!r}")
     nums = [int(x) for x in re.findall("[0-9]+", text)]
-    return tuple(sorted({Triple(*nums[i : i + 3]) for i in range(0, len(nums), 3)}))
+    return tuple(Triple(*nums[i : i + 3]) for i in range(0, len(nums), 3))
 
 
 def _load_graph(args) -> Graph:

@@ -64,18 +64,23 @@ class Leaf(_Node):
         object.__setattr__(self, "vertex", vertex)
 
 
-class Union(_Node):
-    __slots__ = ("children", "_omega", "_profile")
+class _Inner(_Node):
+    """A Union or a Join over a nonempty tuple of children."""
+
+    __slots__ = ()
 
     def __init__(self, children: tuple[CotreeNode, ...]):
+        if not children:
+            raise ValueError(f"{type(self).__name__.lower()} of zero cotrees")
         object.__setattr__(self, "children", children)
 
 
-class Join(_Node):
+class Union(_Inner):
     __slots__ = ("children", "_omega", "_profile")
 
-    def __init__(self, children: tuple[CotreeNode, ...]):
-        object.__setattr__(self, "children", children)
+
+class Join(_Inner):
+    __slots__ = ("children", "_omega", "_profile")
 
 
 CotreeNode = Leaf | Union | Join
@@ -91,16 +96,14 @@ class NotACographError(ValueError):
 
 def _flattened(cls, children: Sequence[CotreeNode]) -> CotreeNode:
     """A cls node (Union or Join) over children, flattening nested cls nodes;
-    singletons collapse."""
+    singletons collapse, and no children raise from cls itself."""
     flat: list[CotreeNode] = []
     for ch in children:
         if isinstance(ch, cls):
             flat.extend(ch.children)
         else:
             flat.append(ch)
-    if not flat:
-        raise ValueError(f"{cls.__name__.lower()} of zero cotrees")
-    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+    return cls(tuple(flat)) if len(flat) != 1 else flat[0]
 
 
 def union_of(children: Sequence[CotreeNode]) -> CotreeNode:
@@ -177,10 +180,14 @@ def complement_tree(tree: CotreeNode) -> CotreeNode:
                  lambda n, kids: (Union if isinstance(n, Join) else Join)(tuple(kids)))
 
 
+def _renumbered(tree: CotreeNode, ids: Iterator[int]) -> CotreeNode:
+    """Copy of tree whose leaves take the next ids, left to right."""
+    return _fold(tree, lambda _: Leaf(next(ids)), lambda n, kids: type(n)(tuple(kids)))
+
+
 def relabel(tree: CotreeNode) -> CotreeNode:
     """Copy of tree with leaf ids reassigned 0..n-1 in left-to-right order."""
-    ids = count()
-    return _fold(tree, lambda _: Leaf(next(ids)), lambda n, kids: type(n)(tuple(kids)))
+    return _renumbered(tree, count())
 
 
 def leaf_count(tree: CotreeNode) -> int:
@@ -281,8 +288,7 @@ def parse_expr(text: str) -> CotreeNode:
                     # number their leaves from the next id
                     cls = Join if flip else Union
                     parts = value.children if isinstance(value, cls) else (value,)
-                    copies = _fold(Union(parts * (arg - 1)), lambda _: Leaf(next(ids)),
-                                   lambda n, copied: type(n)(tuple(copied)))
+                    copies = _renumbered(Union(parts * (arg - 1)), ids)
                     value = cls(parts + copies.children)
             else:
                 m = _CLOSE.match(text, pos)

@@ -132,9 +132,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._rows[v].bit_count()
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self._rows[v]))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
             for u in iter_bits(self._rows[v] >> (v + 1) << (v + 1)):

@@ -296,7 +296,7 @@ def _extend(kind: str, left, right, region: tuple[int, int, int]):
     """The signature of the Union (kind "U") or Join ("J") of two disjoint
     graphs, from theirs: the combined frontier, and each deletion on one side
     combined with the other side's frontier, one pair per distinct frontier
-    with the masks ORed. Combines are commutative, so either order works."""
+    with the masks ORed. Combines commute (solver law L1): either order works."""
     (fl, dl), (fr, dr) = left, right
     merged: dict = {}
     for pairs, rest in ((dl, fr), (dr, fl)):
@@ -311,7 +311,7 @@ def _signatures(goal_t: tuple[Triple, ...]):
     the goal's region and its one-leaf deletions as (frontier, mask) pairs,
     mask holding the ids of the leaves whose deletion gives that frontier.
     A node extends its first child's signature by each other child in turn
-    (combines are associative).
+    (combines associate, solver law L1).
     """
     region = _region(*goal_t)
     leaf = _leaf_frontier(region)

@@ -22,6 +22,23 @@ p, p + q and p + r decreases from a child's triple to a derived one (a join
 adds the other side's sums whatever t is), so a derivation ending inside the
 box stays in this downward-closed region, and each frontier is exact on it.
 It caps q at P + Q - p: at most (P + 1)(P + Q + 1) triples, whatever R is.
+
+The fold keeps six laws, each with its own test:
+
+* L1: both combines commute and associate on graphs' frontiers, which are
+  closed upward in the order of (p, p + q, p + r); on arbitrary antichains
+  the join does not associate.
+* L2: _ABSENT, a deleted vertex's frontier, is the identity of both
+  combines, which return the other operand itself.
+* L3 (restriction): the fold at a box is the fold at any larger box,
+  filtered to it.
+* L4 (monotonicity): every member of a combine lies above a member of each
+  operand: a graph admits every triple that a graph containing it admits.
+* L5 (weight): every member (a, b, c) of a fold's frontier has 2a + b + c
+  >= omega (a forest holds at most two vertices of a clique), and
+  (0, omega, 0) is feasible (cographs are perfect).
+* L6: every combine returns a sorted antichain of nonnegative triples inside
+  its region; a leaf's frontier is not sorted (see _leaf_frontier).
 """
 from __future__ import annotations
 
@@ -39,8 +56,7 @@ from .strength import chromatic_number, q_from_strength, strength_profile
 
 __all__ = [
     "Triple", "TripleSet", "PartitionCertificate",
-    "derive_union", "derive_join", "feasible_set", "is_partitionable",
-    "extract_certificate", "check_partition",
+    "feasible_set", "is_partitionable", "extract_certificate", "check_partition",
     "vertex_arboricity", "chromatic_number", "min_deletions", "min_q_feedback",
 ]
 
@@ -51,9 +67,6 @@ class Triple(NamedTuple):
     p: int
     q: int
     r: int
-
-    def solver_weight(self) -> int:
-        return self.p + self.q + self.r
 
     def obstruction_weight(self) -> int:
         return 2 * self.p + self.q + self.r
@@ -74,27 +87,6 @@ def as_triple(value, what: str = "triple") -> Triple:
     if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in t):
         raise ValueError(f"{what} components must be nonnegative integers")
     return t
-
-
-def derive_union(tu, td) -> Triple:
-    """Budget needed by a disjoint union whose parts admit tu and td."""
-    tu, td = as_triple(tu), as_triple(td)
-    return Triple(max(tu.p, td.p), max(tu.q, td.q), tu.r + td.r)
-
-
-def derive_join(tu, td) -> tuple[Triple, ...]:
-    """Budgets reachable for a join whose sides admit tu and td.
-
-    Index t counts crossing star classes; each consumes one unit of total
-    deletion surplus (the center side) and one independent class (the leaf
-    side), and adds one forest class.
-    """
-    tu, td = as_triple(tu), as_triple(td)
-    tmax = min(tu.r, td.q) + min(tu.q, td.r)
-    return tuple(
-        Triple(tu.p + td.p + t, tu.q + td.q - t, tu.r + td.r - t)
-        for t in range(tmax + 1)
-    )
 
 
 # -- frontier computation ---------------------------------------------
@@ -195,6 +187,8 @@ def _admits(front: _FrontierT, t) -> bool:
 
 
 def _leaf_frontier(region: tuple[int, int, int]) -> _FrontierT:
+    # unsorted on purpose: _find_split takes the first member that fits, so
+    # this order is a certificate's preference at a leaf, F before Q before R
     P, PQ, PR = region
     cands = []
     if P >= 1:

@@ -1,7 +1,8 @@
 """Slow reference codecs, realize, row check, expression parser, random
 trees, a deleting fold and two derived parameters: the straightforward versions that the
 library's routines replaced, kept verbatim (methods become functions of the
-Graph) so tests can require byte-identical results.
+Graph) so tests can require byte-identical results. Also the union and join
+rules on single triples, the naive referee of the solver's combine kernel.
 """
 import random
 
@@ -12,7 +13,7 @@ from cographpart.cotree import (
 from cographpart.graph import Graph, _decode_order, _encode_order, _strip_header, iter_bits
 from cographpart.solver import (
     _ABSENT, Triple, TripleSet, _frontier_in, _leaf_frontier, _prefix_frontiers, _region,
-    chromatic_number,
+    as_triple, chromatic_number,
 )
 
 # the six bits of each graph6 character 63..126
@@ -217,6 +218,27 @@ def random_tree(n: int, rng: random.Random | int, split):
         return (Union if make_union else Join), [(s, make_union) for s in sizes]
 
     return relabel(_unfold((n, None), expand))
+
+
+def derive_union(tu, td) -> Triple:
+    """Budget needed by a disjoint union whose parts admit tu and td."""
+    tu, td = as_triple(tu), as_triple(td)
+    return Triple(max(tu.p, td.p), max(tu.q, td.q), tu.r + td.r)
+
+
+def derive_join(tu, td) -> tuple[Triple, ...]:
+    """Budgets reachable for a join whose sides admit tu and td.
+
+    Index t counts crossing star classes; each consumes one unit of total
+    deletion surplus (the center side) and one independent class (the leaf
+    side), and adds one forest class.
+    """
+    tu, td = as_triple(tu), as_triple(td)
+    tmax = min(tu.r, td.q) + min(tu.q, td.r)
+    return tuple(
+        Triple(tu.p + td.p + t, tu.q + td.q - t, tu.r + td.r - t)
+        for t in range(tmax + 1)
+    )
 
 
 def _leaves_but(without: int | None, value, absent):

@@ -22,7 +22,6 @@ from cographpart import (
     chromatic_number,
     contains_induced,
     count_Oi_report,
-    derive_join,
     enumerate_cographs,
     extract_certificate,
     family_A2,
@@ -47,6 +46,8 @@ from cographpart import (
 )
 from cographpart import solver
 from cographpart.solver import _combine_cache
+
+from slow_reference import derive_join
 
 
 def _deletion_witnesses_valid(graph, report):
@@ -201,7 +202,7 @@ def test_join_construction_tower():
 
 def test_structural_bounds_on_found_obstructions(arboricity_three_obstructions):
     found = [(t, 2) for t in family_A2()]
-    found += [(parse_expr(r.dsl), r.goal[0].solver_weight())
+    found += [(parse_expr(r.dsl), sum(r.goal[0]))
               for r in search_minimal_obstructions(7, Triple(1, 1, 0))]
     found += [(parse_expr(r.dsl), 3) for r in arboricity_three_obstructions]
     found += [(t, 3) for t in family_Ap(3)]

@@ -14,6 +14,7 @@ from cographpart import (
     random_balanced_cotree, random_cotree, realize, to_expr,
 )
 from cographpart.cli import _parse_goal, main
+from cographpart.obstructions import _normalize_goal
 
 C4_DSL = "C(U(2*K(2)))"
 
@@ -357,8 +358,13 @@ def test_obstructions_families_oi(capsys):
 
 
 def test_parse_goal():
-    assert _parse_goal("(0,2,1),(0,1,2)") == (Triple(0, 1, 2), Triple(0, 2, 1))
-    assert _parse_goal(" 1,1,0 (2, 0, 0)\n2,0,0 ") == (Triple(1, 1, 0), Triple(2, 0, 0))
+    """Triples come back in text order; the obstruction routines' goal
+    normaliser sorts them and drops repeats."""
+    assert _parse_goal("(0,2,1),(0,1,2)") == (Triple(0, 2, 1), Triple(0, 1, 2))
+    repeated = _parse_goal(" 1,1,0 (2, 0, 0)\n2,0,0 ")
+    assert repeated == (Triple(1, 1, 0), Triple(2, 0, 0), Triple(2, 0, 0))
+    assert _normalize_goal(repeated) == (Triple(1, 1, 0), Triple(2, 0, 0))
+    assert _normalize_goal(_parse_goal("(0,2,1),(0,1,2)")) == (Triple(0, 1, 2), Triple(0, 2, 1))
     assert _parse_goal("1,1,0,2,0,0") == (Triple(1, 1, 0), Triple(2, 0, 0))
 
 

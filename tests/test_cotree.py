@@ -115,10 +115,18 @@ def test_singleton_collapses():
 
 
 def test_empty_child_list_rejected():
-    with pytest.raises(ValueError):
-        union_of([])
-    with pytest.raises(ValueError):
-        join_of([])
+    """A Union or Join over no children cannot be built, by hand, through
+    union_of and join_of, or nested under a valid root."""
+    builders = {"union": (lambda: Union(()), lambda: union_of([]),
+                          lambda: Join((Leaf(0), Union(()))),
+                          lambda: join_of([Leaf(0), union_of([])])),
+                "join": (lambda: Join(()), lambda: join_of([]),
+                         lambda: Union((Leaf(0), Join(()))),
+                         lambda: union_of([Leaf(0), join_of([Leaf(1), Join(())])]))}
+    for kind, makes in builders.items():
+        for make in makes:
+            with pytest.raises(ValueError, match=f"^{kind} of zero cotrees$"):
+                make()
 
 
 def test_parse_expr_basic():

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from cographpart import Graph
-from cographpart.graph import _encode_order
+from cographpart.graph import _encode_order, iter_bits
 
 from conftest import from_nx, random_graph, to_nx
 
@@ -26,7 +26,7 @@ def test_from_edge_list_basic():
     assert g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
     assert g.degree(1) == 2
-    assert sorted(g.neighbors(1)) == [0, 2]
+    assert list(iter_bits(g.row(1))) == [0, 2]
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
 
 

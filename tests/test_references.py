@@ -381,8 +381,8 @@ def test_leaf_root_answers_twice():
 
 
 def assert_weight_law(tree, box, frontier):
-    """Law L5 on a fold's frontier: every member has 2a + b + c >= omega, and
-    (0, omega, 0) is admitted wherever the box holds it."""
+    """Law L5 of the solver's module docstring on a fold's frontier, with
+    (0, omega, 0) admitted wherever the box holds it."""
     omega = chromatic_number(tree)
     assert all(m.obstruction_weight() >= omega for m in frontier.frontier), (box, omega)
     if box.dominates(Triple(0, omega, 0)):
